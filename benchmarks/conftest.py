@@ -69,7 +69,10 @@ def record_timing(name: str, wall_s: float, stats) -> None:
 
     ``wall_s`` is the whole sweep's wall clock; ``stats`` a
     :class:`~repro.harness.sweep.SweepStats` whose ``serial_equiv_s`` is
-    what a one-worker, cold-cache sweep would have cost.
+    what the specs it executed would have cost in one worker, and whose
+    ``cached_s`` is the recorded cost of the specs it skipped (cache
+    hits). Its ``speedup`` divides ``serial_equiv_s`` by the runner's own
+    wall time, not by ``wall_s``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     try:

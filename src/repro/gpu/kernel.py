@@ -2,13 +2,20 @@
 
 A :class:`Kernel` owns a grid of thread blocks handed out lazily from
 its :class:`~repro.workloads.specs.KernelSpec`. Per-TB instruction
-counts are drawn lognormally around the spec's mean and the first
-non-idempotent point (for non-idempotent kernels) is drawn from the
-spec's Beta distribution — clustered near the end of the block, as the
-paper observes. All draws for the grid are batched at construction
-(one pass per stream) rather than made per thread block; the per-stream
-draw order is identical, so traces match the per-TB formulation bit for
-bit.
+counts and CPI jitter are drawn lognormally for the whole grid at
+construction (one batch per stream) rather than per thread block; the
+per-stream draw order is identical, so traces match the per-TB
+formulation bit for bit.
+
+The first non-idempotent point of a block (non-idempotent kernels only)
+comes from the spec's Beta distribution — clustered near the end of the
+block, as the paper observes. Only a preemption deciding whether a
+block may still be flushed reads it, so the kernel reserves a window of
+its label's Beta sequence at construction and a block's value is drawn
+on first read (:meth:`~repro.sim.rng.RngStreams.beta_window`). The
+sequence draws in position order and its stream has no other consumer,
+so every value is the one an eager draw at construction would have
+produced.
 
 The kernel also accumulates the statistics Chimera's online cost model
 needs and the counters the experiment harness reports.
@@ -18,11 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.gpu.threadblock import ThreadBlock
-from repro.sim.rng import RngStreams
+from repro.sim.rng import BetaWindow, RngStreams
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a gpu<->workloads cycle
     from repro.workloads.specs import KernelSpec
@@ -88,11 +95,12 @@ class Kernel:
         #: model's hottest path and the map can hold ~a hundred blocks.
         self._live: Dict[int, ThreadBlock] = {}
         self._mean_tb_insts = spec.mean_tb_instructions(clock_mhz)
-        # The whole grid's randomness is drawn in one batch per stream at
-        # construction instead of 3 RNG calls per make_tb(). Per-stream
-        # draw order is unchanged (streams are independent and each
-        # benchmark label's kernels consume their streams sequentially),
-        # so traces are bit-identical to the per-TB draws.
+        # Sizes and rates are drawn in one batch per stream here instead
+        # of per make_tb(); non-idempotent points only reserve their
+        # window. Per-stream draw order is unchanged (streams are
+        # independent and each benchmark label's kernels take their
+        # stream positions in construction order), so traces are
+        # bit-identical to per-TB draws.
         label = spec.label
         totals = rng.lognormal_batch(f"tb:{label}", self._mean_tb_insts,
                                      spec.tb_cv, grid_tbs)
@@ -105,10 +113,10 @@ class Kernel:
                                               spec.cpi_cv, grid_tbs)
         ]
         if spec.idempotent:
-            self._nonidem_fracs: Optional[List[float]] = None
+            self._nonidem_fracs: Optional[BetaWindow] = None
         else:
-            self._nonidem_fracs = rng.beta_batch(f"idem:{label}",
-                                                 *spec.nonidem_beta, grid_tbs)
+            self._nonidem_fracs = rng.beta_window(f"idem:{label}",
+                                                  *spec.nonidem_beta, grid_tbs)
 
     # ------------------------------------------------------------------
     # grid generation
@@ -125,12 +133,17 @@ class Kernel:
         if index >= self.grid_tbs:
             raise SimulationError(f"kernel {self.name}: grid exhausted")
         self._next_index = index + 1
-        total = self._tb_totals[index]
-        if self._nonidem_fracs is None:
-            nonidem_at = math.inf
-        else:
-            nonidem_at = self._nonidem_fracs[index] * total
-        return ThreadBlock(self, index, total, self._tb_rates[index], nonidem_at)
+        return ThreadBlock(self, index, self._tb_totals[index],
+                           self._tb_rates[index])
+
+    def nonidem_point(self, index: int) -> float:
+        """Instruction count at which block ``index`` becomes
+        non-idempotent (``math.inf`` for idempotent kernels); the first
+        call for a block draws its Beta fraction."""
+        fracs = self._nonidem_fracs
+        if fracs is None:
+            return math.inf
+        return fracs[index] * self._tb_totals[index]
 
     @property
     def undispatched_tbs(self) -> int:
@@ -161,6 +174,14 @@ class Kernel:
         self.stats.tb_insts_sumsq += tb.total_insts * tb.total_insts
         if tb.total_insts > self.stats.tb_insts_max:
             self.stats.tb_insts_max = tb.total_insts
+
+    def mark_finished(self, now: float) -> None:
+        """Record the kernel leaving the GPU (every block retired, or
+        killed). No block's non-idempotent point is read after this, so
+        the drawn ones are dropped."""
+        self.finish_time = now
+        if self._nonidem_fracs is not None:
+            self._nonidem_fracs.release()
 
     @property
     def finished(self) -> bool:

@@ -43,12 +43,11 @@ start/remaining instructions lose to fused scalar Python on every
 measurement — per-op dispatch overhead (~1 us) dwarfs 8-element math.
 Arrays win at grid scale (hundreds to thousands of elements), which is
 where the numpy half of this path lives (batched per-grid instruction
-count, CPI, and non-idempotent-point draws in ``rng_vector``).
+count and CPI draws in ``rng_vector``).
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from functools import partial
 from heapq import heappush
@@ -62,7 +61,7 @@ from repro.gpu.threadblock import TBState, ThreadBlock
 from repro.sim import trace as trace_mod
 from repro.sim.engine import Event
 
-# Module-level aliases: enum-member and math-constant attribute lookups
+# Module-level aliases: enum-member attribute lookups
 # cost ~40ns each and the fused loop below runs ~1M times per figure
 # sweep.
 _PENDING = TBState.PENDING
@@ -70,7 +69,6 @@ _RUNNING = TBState.RUNNING
 _SAVED = TBState.SAVED
 _DONE = TBState.DONE
 _PREEMPTING = SMState.PREEMPTING
-_INF = math.inf
 _new_event = Event.__new__
 
 
@@ -174,7 +172,6 @@ class VectorSM(StreamingMultiprocessor):
         grid = kernel.grid_tbs
         totals = kernel._tb_totals
         rates = kernel._tb_rates
-        fracs = kernel._nonidem_fracs
         live = kernel._live
         seq_counter = engine._seq
         heap = engine._queue
@@ -196,10 +193,9 @@ class VectorSM(StreamingMultiprocessor):
                 nxt = new_tb(ThreadBlock)
                 nxt.kernel = kernel
                 nxt.index = index
-                nxt.total_insts = t = totals[index]
+                nxt.total_insts = totals[index]
                 nxt.rate = rates[index]
-                nxt.nonidem_at = (_INF if fracs is None
-                                  else fracs[index] * t)
+                nxt._nonidem_at = None  # drawn on first read
                 nxt.state = _PENDING
                 nxt.executed_insts = 0.0
                 nxt.executed_cycles = 0.0

@@ -11,14 +11,14 @@ Each block carries the state Chimera's machinery needs:
   of paper §3.2),
 * the progress point of its first non-idempotent instruction (set by
   the idempotence instrumentation; ``math.inf`` for blocks that stay
-  idempotent forever), and
+  idempotent forever), resolved from the kernel on first read unless
+  given to the constructor, and
 * saved-context bookkeeping for context switching.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SimulationError
@@ -42,13 +42,13 @@ class ThreadBlock:
     """One thread block of a kernel instance."""
 
     __slots__ = (
-        "kernel", "index", "total_insts", "rate", "nonidem_at",
+        "kernel", "index", "total_insts", "rate", "_nonidem_at",
         "state", "executed_insts", "executed_cycles", "flush_count",
         "_last_advance", "dispatch_time", "finish_time",
     )
 
     def __init__(self, kernel: "Kernel", index: int, total_insts: float,
-                 rate: float, nonidem_at: float = math.inf):
+                 rate: float, nonidem_at: Optional[float] = None):
         if total_insts <= 0:
             raise SimulationError(f"TB {index}: total_insts must be positive")
         if rate <= 0:
@@ -57,8 +57,8 @@ class ThreadBlock:
         self.index = index
         self.total_insts = total_insts
         self.rate = rate
-        #: Instruction count at which the block becomes non-idempotent.
-        self.nonidem_at = nonidem_at
+        #: Backs :attr:`nonidem_at`; None until first read.
+        self._nonidem_at = nonidem_at
         self.state = TBState.PENDING
         self.executed_insts = 0.0
         self.executed_cycles = 0.0
@@ -85,6 +85,18 @@ class ThreadBlock:
     def progress_fraction(self) -> float:
         """Executed fraction of the block's work."""
         return min(1.0, self.executed_insts / self.total_insts)
+
+    @property
+    def nonidem_at(self) -> float:
+        """Instruction count at which the block becomes non-idempotent."""
+        at = self._nonidem_at
+        if at is None:
+            at = self._nonidem_at = self.kernel.nonidem_point(self.index)
+        return at
+
+    @nonidem_at.setter
+    def nonidem_at(self, value: float) -> None:
+        self._nonidem_at = value
 
     @property
     def idempotent_now(self) -> bool:

@@ -390,9 +390,12 @@ class SweepStats:
     pool_rebuilds: int = 0
     degraded: bool = False
     wall_s: float = 0.0
-    #: Sum of per-spec execution times — what a one-process sweep would
-    #: have cost (cached specs contribute their recorded durations).
+    #: Sum of the execution times of the specs executed in this run —
+    #: what running them in one process would have cost.
     serial_equiv_s: float = 0.0
+    #: Recorded execution times of the specs this run skipped: cache
+    #: hits and results picked up from other worker groups.
+    cached_s: float = 0.0
     #: QoS guard rollup over every executed result that carried a
     #: ledger summary: budget overruns and mid-flight escalations.
     qos_violations: int = 0
@@ -417,6 +420,7 @@ class SweepStats:
         self.degraded = self.degraded or other.degraded
         self.wall_s += other.wall_s
         self.serial_equiv_s += other.serial_equiv_s
+        self.cached_s += other.cached_s
         self.qos_violations += other.qos_violations
         self.qos_escalations += other.qos_escalations
         self.slo_arrivals += other.slo_arrivals
@@ -425,7 +429,8 @@ class SweepStats:
 
     @property
     def speedup(self) -> float:
-        """Serial-equivalent time over actual wall time."""
+        """Serial-equivalent time of the executed specs over actual wall
+        time (0 when nothing was executed)."""
         return self.serial_equiv_s / self.wall_s if self.wall_s > 0 else 0.0
 
     def as_dict(self) -> Dict[str, Any]:
@@ -444,6 +449,7 @@ class SweepStats:
             "degraded": self.degraded,
             "wall_s": round(self.wall_s, 4),
             "serial_equiv_s": round(self.serial_equiv_s, 4),
+            "cached_s": round(self.cached_s, 4),
             "speedup": round(self.speedup, 2),
             "qos_violations": self.qos_violations,
             "qos_escalations": self.qos_escalations,
@@ -688,7 +694,7 @@ class SweepRunner:
             if hit is not None:
                 results[i] = hit
                 stats.cache_hits += 1
-                stats.serial_equiv_s += self._memo_duration.get(key, 0.0)
+                stats.cached_s += self._memo_duration.get(key, 0.0)
                 continue
             if key not in misses:
                 order.append((key, spec))
@@ -802,7 +808,7 @@ class SweepRunner:
             for pos, (key, spec) in pending:
                 if self._lookup(key) is not None:
                     stats.foreign += 1
-                    stats.serial_equiv_s += self._memo_duration.get(key, 0.0)
+                    stats.cached_s += self._memo_duration.get(key, 0.0)
                 else:
                     still_waiting.append((pos, (key, spec)))
             pending = still_waiting

@@ -172,7 +172,7 @@ class KernelScheduler:
         entry = self._active.pop(kernel.kernel_id, None)
         if entry is None:
             return
-        kernel.finish_time = self.engine.now
+        kernel.mark_finished(self.engine.now)
         if self.tracer is not None:
             self._trace(trace_mod.KILL, kernel.name, kernel=kernel.name,
                         done=kernel.stats.tbs_completed)
@@ -205,7 +205,7 @@ class KernelScheduler:
         entry = self._active.pop(kernel.kernel_id, None)
         if entry is None:
             return  # already handled (e.g. killed)
-        kernel.finish_time = self.engine.now
+        kernel.mark_finished(self.engine.now)
         if self.tracer is not None:
             self._trace(trace_mod.FINISH, kernel.name, kernel=kernel.name,
                         cycles=self.engine.now - (kernel.launch_time or 0.0))

@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, List
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
 from repro import vector as _vector_mode
+from repro.errors import SimulationError
 
 #: Below this batch size the numpy path's fixed costs (state copies,
 #: array setup) outweigh the per-draw win; the scalar loop runs instead.
@@ -33,6 +35,9 @@ class RngStreams:
     def __init__(self, root_seed: int = 12345):
         self.root_seed = root_seed
         self._streams: Dict[str, random.Random] = {}
+        #: Per stream name, the Beta windows with undrawn positions,
+        #: oldest first; only the first may be partly drawn.
+        self._undrawn: Dict[str, Deque[BetaWindow]] = {}
 
     def stream(self, name: str) -> random.Random:
         """Return (creating on first use) the stream with this name."""
@@ -101,6 +106,40 @@ class RngStreams:
         draw = stream.betavariate
         return [draw(alpha, beta) for _ in range(n)]
 
+    def beta_window(self, name: str, alpha: float, beta: float,
+                    n: int) -> "BetaWindow":
+        """Reserve the next ``n`` positions of the stream's Beta sequence.
+
+        Nothing is drawn yet: reading a position draws (through
+        :meth:`beta_batch`) every value of the sequence up to it that is
+        still undrawn, in position order. A value therefore equals the
+        one an eager ``beta_batch`` of every window reserved so far would
+        have produced there, however the reads are ordered or batched —
+        provided the stream has no other consumer.
+        """
+        window = BetaWindow(self, name, alpha, beta, n)
+        self._undrawn.setdefault(name, deque()).append(window)
+        return window
+
+    def _draw_through(self, window: "BetaWindow", index: int) -> None:
+        """Draw every undrawn position of ``window``'s sequence up to
+        ``window[index]``, one :meth:`beta_batch` call per window, so
+        the stream advances exactly as eager draws at reservation would
+        have advanced it."""
+        undrawn = self._undrawn[window.name]
+        while True:
+            head = undrawn[0]
+            stop = index + 1 if head is window else head.n
+            values = self.beta_batch(head.name, head.alpha, head.beta,
+                                     stop - head.drawn)
+            if head.values is not None:
+                head.values += values
+            head.drawn = stop
+            if stop == head.n:
+                undrawn.popleft()
+            if head is window:
+                return
+
     def uniform(self, name: str, lo: float, hi: float) -> float:
         """Draw uniformly from [lo, hi)."""
         return self.stream(name).uniform(lo, hi)
@@ -108,3 +147,37 @@ class RngStreams:
     def fork(self, name: str) -> "RngStreams":
         """Return a new independent RngStreams rooted under ``name``."""
         return RngStreams(_derive_seed(self.root_seed, f"fork:{name}"))
+
+
+class BetaWindow:
+    """``n`` consecutive positions of a stream's Beta sequence, reserved
+    by :meth:`RngStreams.beta_window`; ``window[i]`` draws on first read.
+
+    ``values`` holds the drawn values of positions ``[0, drawn)``, or
+    None once :meth:`release` has dropped them.
+    """
+
+    __slots__ = ("_rng", "name", "alpha", "beta", "n", "drawn", "values")
+
+    def __init__(self, rng: RngStreams, name: str, alpha: float,
+                 beta: float, n: int):
+        self._rng = rng
+        self.name = name
+        self.alpha = alpha
+        self.beta = beta
+        self.n = n
+        self.drawn = 0
+        self.values: Optional[List[float]] = []
+
+    def __getitem__(self, index: int) -> float:
+        if index >= self.drawn:
+            self._rng._draw_through(self, index)
+        if self.values is None:
+            raise SimulationError("read of a released beta window")
+        return self.values[index]
+
+    def release(self) -> None:
+        """Drop the drawn values; the window may not be read again. Its
+        undrawn positions are still drawn (and discarded) when a later
+        window of the stream is read."""
+        self.values = None

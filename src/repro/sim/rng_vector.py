@@ -1,13 +1,16 @@
 """Bit-exact numpy vectorization of the stdlib batch draws.
 
-:class:`~repro.sim.rng.RngStreams` batches the whole grid's randomness
-per kernel (``lognormal_batch`` / ``beta_batch``), but until this module
-each batch still made ``n`` Python-level ``lognormvariate`` /
-``betavariate`` calls — ~37% of a periodic fluid run's wall clock. This
+:class:`~repro.sim.rng.RngStreams` draws its batches
+(``lognormal_batch`` / ``beta_batch``) in one call each: a kernel's
+per-block instruction counts and CPIs for the whole grid at
+construction, and its non-idempotent points in order, as far as a
+preemption reads them. A batch of ``n`` values would otherwise make
+``n`` Python-level ``lognormvariate`` / ``betavariate`` calls. This
 module reproduces those draws with numpy array math while keeping every
 float and every Mersenne-Twister state transition **bit-identical** to
 the scalar path, so traces and cached results are byte-for-byte the
-same whichever path ran.
+same whichever path ran, and a stream's values do not depend on how its
+draws are split into batches.
 
 How bit-identity is achieved:
 

@@ -144,6 +144,25 @@ class TestResultCache:
         assert runner.last_stats.cache_hits == 1
         assert runner.last_stats.executed == 0
 
+    def test_all_hit_rerun_reports_no_speedup(self, tmp_path):
+        """Skipped specs' recorded durations go to cached_s, never into
+        the serial-equivalent time the speedup is taken from."""
+        specs = [RunSpec.periodic(label, "drain", periods=PERIODS, seed=4)
+                 for label in ("BS", "HS")]
+        runner = _runner(tmp_path)
+        runner.run(specs)
+        cold = runner.last_stats
+        assert cold.serial_equiv_s > 0 and cold.cached_s == 0.0
+        for rerun in (runner, _runner(tmp_path)):  # memo hits, disk hits
+            rerun.run(specs)
+            warm = rerun.last_stats.as_dict()
+            assert warm["cache_hits"] == 2
+            assert warm["serial_equiv_s"] == 0.0
+            assert warm["speedup"] == 0.0
+            assert warm["cached_s"] > 0
+        assert runner.total_stats.cached_s == pytest.approx(
+            cold.serial_equiv_s)
+
     def test_disk_hit_across_runners_equals_fresh_run(self, tmp_path):
         spec = RunSpec.periodic("BS", "chimera", periods=PERIODS, seed=4)
         first = _runner(tmp_path).run([spec])[0]
@@ -560,6 +579,7 @@ class TestSweepScaling:
         finally:
             timer.join()
         assert runner.last_stats.foreign >= len(foreign_specs)
+        assert runner.last_stats.cached_s > 0  # not in serial_equiv_s
         assert not any(isinstance(r, SpecFailure) for r in results)
 
     def test_missing_foreign_group_times_out_as_spec_failure(self,
