@@ -11,15 +11,15 @@ the paper's observation. Limit the sweep with
 
 from __future__ import annotations
 
-import os
 import time
 
 from benchmarks.conftest import BUDGET, SEED, once, record_timing, write_result
+from repro import settings
 from repro.harness.experiments import case_study_sweep
 from repro.metrics.report import format_percent, format_table
 from repro.workloads.multiprogram import all_pairs
 
-MAX_PAIRS = int(os.environ.get("CHIMERA_BENCH_MAX_PAIRS", "91"))
+MAX_PAIRS = settings.get("CHIMERA_BENCH_MAX_PAIRS")
 
 
 def _geomean(values):

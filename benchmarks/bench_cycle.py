@@ -24,11 +24,11 @@ Scale knobs:
 from __future__ import annotations
 
 import json
-import os
 import time
 from typing import Callable, Dict, Optional
 
 from benchmarks.conftest import RESULTS_DIR
+from repro import settings
 from repro.functional.gpusim import CycleGPU
 from repro.functional.machine import GlobalMemory
 from repro.functional.warpsim import SchedulerKind
@@ -43,7 +43,7 @@ from repro.idempotence.kernels import (
 
 BENCH_PATH = RESULTS_DIR / "BENCH_cycle.json"
 
-QUICK = bool(os.environ.get("CHIMERA_BENCH_CYCLE_QUICK", "").strip())
+QUICK = settings.get("CHIMERA_BENCH_CYCLE_QUICK")
 
 #: Threads per block everywhere (simt_width is 8 -> 2 warps/block).
 TPB = 16
@@ -173,11 +173,11 @@ def test_memory_bound(benchmark):
 
     speedup = benchmark.pedantic(lambda: _bench("memory_bound", make),
                                  rounds=1, iterations=1)
-    floor = os.environ.get("CHIMERA_CYCLE_FAIL_BELOW", "").strip()
-    if floor:
-        assert speedup >= float(floor), (
+    floor = settings.get("CHIMERA_CYCLE_FAIL_BELOW")
+    if floor is not None:
+        assert speedup >= floor, (
             f"memory-bound fast path only {speedup:.1f}x lockstep "
-            f"(floor {floor}x)")
+            f"(floor {floor:g}x)")
 
 
 def test_alu_bound(benchmark):

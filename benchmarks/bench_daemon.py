@@ -30,6 +30,7 @@ import os
 import time
 
 from benchmarks.conftest import RESULTS_DIR, once
+from repro import settings
 from repro.harness.cache import ResultCache
 from repro.harness.sweep import RunSpec
 from repro.service import (
@@ -42,7 +43,7 @@ from repro.service import (
 
 BENCH_PATH = RESULTS_DIR / "BENCH_daemon.json"
 
-QUICK = bool(os.environ.get("CHIMERA_BENCH_DAEMON_QUICK", "").strip())
+QUICK = settings.get("CHIMERA_BENCH_DAEMON_QUICK")
 
 #: (jobs, specs per job, periods per spec). Job counts divide evenly
 #: across 2 and 4 slots: jobs are the unit of slot parallelism, so a
@@ -121,8 +122,8 @@ def test_drain_scaling(benchmark, tmp_path):
         "cpu_count": os.cpu_count(),
     }
     _record("drain_scaling", entry)
-    floor = os.environ.get("CHIMERA_DAEMON_FAIL_BELOW", "").strip()
-    if floor:
-        assert entry["speedup_2w"] >= float(floor), (
+    floor = settings.get("CHIMERA_DAEMON_FAIL_BELOW")
+    if floor is not None:
+        assert entry["speedup_2w"] >= floor, (
             f"2-worker drain only {entry['speedup_2w']:.2f}x the "
             f"single-worker wall (floor {floor}x)")

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 from benchmarks.conftest import RESULTS_DIR, once
+from repro import settings
 from repro.harness import sweep as sweep_mod
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import fluid_vector_ab
@@ -41,7 +41,7 @@ from repro.workloads.specs import benchmark_labels
 
 BENCH_PATH = RESULTS_DIR / "BENCH_fluid.json"
 
-QUICK = bool(os.environ.get("CHIMERA_BENCH_FLUID_QUICK", "").strip())
+QUICK = settings.get("CHIMERA_BENCH_FLUID_QUICK")
 
 
 def _read_results() -> dict:
@@ -66,9 +66,9 @@ def test_figure6_7_end_to_end(benchmark):
         kwargs = dict(periods=3, rounds=3)
     ab = once(benchmark, lambda: fluid_vector_ab(seed=12345, **kwargs))
     _record("figure6_7_end_to_end", ab)
-    floor = os.environ.get("CHIMERA_FLUID_FAIL_BELOW", "").strip()
-    if floor:
-        assert ab["speedup"] >= float(floor), (
+    floor = settings.get("CHIMERA_FLUID_FAIL_BELOW")
+    if floor is not None:
+        assert ab["speedup"] >= floor, (
             f"vectorized fluid path only {ab['speedup']:.2f}x scalar "
             f"(floor {floor}x)")
 

@@ -24,10 +24,10 @@ Scale knobs:
 from __future__ import annotations
 
 import json
-import os
 import time
 
 from benchmarks.conftest import RESULTS_DIR, once
+from repro import settings
 from repro.harness.cache import ResultCache
 from repro.harness.sweep import RunSpec
 from repro.service import (
@@ -43,7 +43,7 @@ from repro.service import (
 
 BENCH_PATH = RESULTS_DIR / "BENCH_overload.json"
 
-QUICK = bool(os.environ.get("CHIMERA_BENCH_OVERLOAD_QUICK", "").strip())
+QUICK = settings.get("CHIMERA_BENCH_OVERLOAD_QUICK")
 
 #: Admission-gate iterations for the control-plane ops/s number.
 CONTROL_OPS = 2_000 if QUICK else 50_000
@@ -94,9 +94,9 @@ def test_control_plane_ops(benchmark):
         "ops_per_s": round(ops_per_s, 1),
     }
     _record("control_plane", entry)
-    floor = os.environ.get("CHIMERA_OVERLOAD_FAIL_BELOW", "").strip()
-    if floor:
-        assert ops_per_s >= float(floor), (
+    floor = settings.get("CHIMERA_OVERLOAD_FAIL_BELOW")
+    if floor is not None:
+        assert ops_per_s >= floor, (
             f"admission-gate control plane at {ops_per_s:.0f} ops/s "
             f"(floor {floor})")
 

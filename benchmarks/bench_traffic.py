@@ -22,22 +22,20 @@ Scale knobs:
 from __future__ import annotations
 
 import json
-import os
 import time
 
-from benchmarks.conftest import RESULTS_DIR, once
+from benchmarks.conftest import RESULTS_DIR, SEED, once
+from repro import settings
 from repro.gpu.config import GPUConfig
 from repro.harness.scenario import ScenarioSpec, run_traffic
 from repro.workloads.traffic import ArrivalSpec, TenantSpec
 
 BENCH_PATH = RESULTS_DIR / "BENCH_traffic.json"
 
-QUICK = bool(os.environ.get("CHIMERA_BENCH_TRAFFIC_QUICK", "").strip())
+QUICK = settings.get("CHIMERA_BENCH_TRAFFIC_QUICK")
 
 #: Arrival window, us (quick mode shrinks it for CI smoke).
 HORIZON_US = 40_000.0 if QUICK else 120_000.0
-
-SEED = int(os.environ.get("CHIMERA_BENCH_SEED", "12345"))
 
 TENANTS = (
     TenantSpec(name="web", mix="table2-short", priority=2, slo_us=3_000.0,
@@ -103,9 +101,9 @@ def test_serving_throughput(benchmark):
         "tenants": [t.name for t in TENANTS],
         **entry,
     })
-    floor = os.environ.get("CHIMERA_TRAFFIC_FAIL_BELOW", "").strip()
-    if floor:
+    floor = settings.get("CHIMERA_TRAFFIC_FAIL_BELOW")
+    if floor is not None:
         attainment = entry["chimera"]["attainment"]
-        assert attainment >= float(floor), (
+        assert attainment >= floor, (
             f"chimera SLO attainment {attainment:.4f} is below the "
             f"{floor} floor")

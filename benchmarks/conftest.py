@@ -20,7 +20,7 @@ Scale knobs (environment variables):
   case study (default 8e6)
 * ``CHIMERA_BENCH_SEED``    — root seed (default 12345)
 * ``CHIMERA_JOBS`` / ``CHIMERA_CACHE_DIR`` / ``CHIMERA_NO_CACHE`` — see
-  :mod:`repro.harness.sweep`
+  :mod:`repro.settings`
 * ``CHIMERA_SPEC_TIMEOUT`` / ``CHIMERA_MAX_RETRIES`` /
   ``CHIMERA_RETRY_BACKOFF`` / ``CHIMERA_KEEP_GOING`` /
   ``CHIMERA_FAULTS`` — fault-tolerance + fault-injection knobs; the
@@ -41,6 +41,7 @@ from typing import Callable, Dict
 
 import pytest
 
+from repro import settings
 from repro.harness.experiments import (
     case_study_sweep,
     figure6_7,
@@ -53,9 +54,9 @@ from repro.workloads.multiprogram import pair_with_lud
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TIMINGS_PATH = RESULTS_DIR / "timings.json"
 
-PERIODS = int(os.environ.get("CHIMERA_BENCH_PERIODS", "10"))
-BUDGET = float(os.environ.get("CHIMERA_BENCH_BUDGET", "8e6"))
-SEED = int(os.environ.get("CHIMERA_BENCH_SEED", "12345"))
+PERIODS = settings.get("CHIMERA_BENCH_PERIODS")
+BUDGET = settings.get("CHIMERA_BENCH_BUDGET")
+SEED = settings.get("CHIMERA_BENCH_SEED")
 
 
 def write_result(name: str, text: str) -> None:

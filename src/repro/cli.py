@@ -19,6 +19,8 @@ Commands mirror the paper's experiments:
 * ``serve``                        — run the crash-safe scheduling
                                      daemon over a service directory
 * ``submit`` / ``status`` / ``cancel`` — client side of the daemon
+* ``config``                       — effective value and source of
+                                     every ``CHIMERA_*`` setting
 
 Examples::
 
@@ -48,7 +50,8 @@ from typing import List, Optional
 
 from repro.core.chimera import POLICY_NAMES
 from repro.core.estimates import figure2_rows, figure3_rows
-from repro.gpu.config import DEFAULT_QOS_SLACK, GPUConfig, QOS_MODES
+from repro import settings
+from repro.gpu.config import GPUConfig, QOS_MODES
 from repro.metrics.report import format_percent, format_table
 from repro.workloads.specs import all_kernel_specs, benchmark_labels
 
@@ -258,6 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     cancel = sub.add_parser("cancel", help="cancel a queued or running job")
     _add_service_dir(cancel)
     cancel.add_argument("job_id", metavar="ID")
+
+    sub.add_parser("config", help="print every CHIMERA_* setting's "
+                                  "effective value and source")
     return parser
 
 
@@ -321,7 +327,7 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                         metavar="FRAC",
                         help="guard deadline slack as a fraction of the "
                              "latency budget (default: CHIMERA_QOS_SLACK "
-                             f"or {DEFAULT_QOS_SLACK})")
+                             "or 0.25)")
 
 
 def _make_runner(args: argparse.Namespace):
@@ -329,7 +335,7 @@ def _make_runner(args: argparse.Namespace):
     from repro.harness.cache import ResultCache
     from repro.harness.sweep import SweepRunner
 
-    cache = ResultCache.from_env()
+    cache = ResultCache()
     if args.no_cache:
         cache.enabled = False
     if getattr(args, "trace", None):
@@ -591,8 +597,7 @@ def cmd_fluid_bench(args: argparse.Namespace) -> int:
         print(f"speedup            {ab['speedup']:.2f}x (bit-identical)")
     floor = args.fail_below
     if floor is None:
-        raw = os.environ.get("CHIMERA_FLUID_FAIL_BELOW", "").strip()
-        floor = float(raw) if raw else None
+        floor = settings.get("CHIMERA_FLUID_FAIL_BELOW")
     if floor is not None and ab["speedup"] < floor:
         print(f"speedup {ab['speedup']:.2f}x is below the "
               f"{floor:g}x floor", file=sys.stderr)
@@ -874,7 +879,34 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_status(args)
     if args.command == "cancel":
         return cmd_cancel(args)
+    if args.command == "config":
+        return cmd_config()
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+
+
+def cmd_config() -> int:
+    """``config``: every setting's effective value and its source.
+
+    Exits 2 when a value does not parse, or when the environment holds
+    a ``CHIMERA_*`` name no setting declares: a misspelled knob fails
+    here instead of being ignored.
+    """
+    from repro.errors import ConfigError
+
+    bad = 0
+    for name in settings.SETTINGS:
+        try:
+            value = settings.get(name)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            bad += 1
+            continue
+        shown = "unset" if value is None else value
+        print(f"{name:<30} {shown!s:<16} {settings.source(name)}")
+    for name in settings.unregistered():
+        print(f"error: {name} is not a known setting", file=sys.stderr)
+        bad += 1
+    return 2 if bad else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

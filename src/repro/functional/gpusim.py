@@ -25,12 +25,12 @@ differential testing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from collections import deque
 
+from repro import settings
 from repro.errors import ConfigError, ExecutionError
 from repro.functional.machine import GlobalMemory
 from repro.functional.warpsim import SchedulerKind, WarpLevelSM
@@ -41,16 +41,6 @@ from repro.sim import trace as trace_mod
 from repro.sim.trace import Tracer
 
 MAX_CYCLES = 20_000_000
-
-#: Environment knob forcing the per-cycle lockstep loop (differential
-#: debugging of the synchronized fast-forward).
-LOCKSTEP_ENV = "CHIMERA_CYCLE_LOCKSTEP"
-
-
-def lockstep_from_env() -> bool:
-    """True when ``CHIMERA_CYCLE_LOCKSTEP`` requests the naive loop."""
-    return bool(os.environ.get(LOCKSTEP_ENV, "").strip())
-
 
 @dataclass
 class CycleGPUResult:
@@ -91,7 +81,8 @@ class CycleGPU:
         self.blocks_per_sm = blocks_per_sm
         self.config = config or GPUConfig()
         #: Per-cycle co-clocking instead of synchronized fast-forward.
-        self.lockstep = lockstep_from_env() if lockstep is None else lockstep
+        self.lockstep = settings.get("CHIMERA_CYCLE_LOCKSTEP") \
+            if lockstep is None else lockstep
         self.gmem = gmem if gmem is not None else GlobalMemory(dict(prog.buffers))
         self.monitor = IdempotenceMonitor(num_sms)
         self.sms: List[WarpLevelSM] = [

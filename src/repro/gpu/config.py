@@ -8,9 +8,10 @@ memory subsystem with 6 partitions totalling 177.4 GB/s.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from functools import partial
 
+from repro import settings
 from repro.errors import ConfigError
 from repro.units import KB, bytes_per_cycle, us_to_cycles
 
@@ -21,26 +22,6 @@ from repro.units import KB, bytes_per_cycle, us_to_cycles
 #: ``strict`` aborts the run with
 #: :class:`~repro.errors.PreemptionDeadlineError`.
 QOS_MODES = ("off", "warn", "escalate", "strict")
-
-#: Default watchdog slack on top of the preemption latency budget.
-DEFAULT_QOS_SLACK = 0.25
-
-
-def _default_qos_mode() -> str:
-    """QoS guard mode from ``CHIMERA_QOS_MODE`` (default ``off``)."""
-    return os.environ.get("CHIMERA_QOS_MODE", "").strip().lower() or "off"
-
-
-def _default_qos_slack() -> float:
-    """Watchdog slack fraction from ``CHIMERA_QOS_SLACK``."""
-    raw = os.environ.get("CHIMERA_QOS_SLACK", "").strip()
-    if not raw:
-        return DEFAULT_QOS_SLACK
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_QOS_SLACK must be a number, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -72,11 +53,13 @@ class GPUConfig:
     #: to ``CHIMERA_QOS_MODE`` at construction time so sweeps inherit
     #: the knob through the environment (and it participates in the
     #: RunSpec cache key, like every other config field).
-    qos_mode: str = field(default_factory=_default_qos_mode)
+    qos_mode: str = field(
+        default_factory=partial(settings.get, "CHIMERA_QOS_MODE"))
 
     #: Watchdog slack: the guard's enforcement deadline is
     #: ``budget × (1 + qos_slack)``. Defaults to ``CHIMERA_QOS_SLACK``.
-    qos_slack: float = field(default_factory=_default_qos_slack)
+    qos_slack: float = field(
+        default_factory=partial(settings.get, "CHIMERA_QOS_SLACK"))
 
     def __post_init__(self) -> None:
         if self.num_sms < 1:

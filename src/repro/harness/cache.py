@@ -8,10 +8,9 @@ bump invalidates every entry, and any change to a scenario parameter,
 seed, or :class:`~repro.gpu.config.GPUConfig` field changes the spec
 hash and misses.
 
-Environment knobs:
-
-* ``CHIMERA_CACHE_DIR`` — cache directory (default ``.chimera-cache``)
-* ``CHIMERA_NO_CACHE``  — any non-empty value disables the disk cache
+The directory and the on/off switch default to the
+``CHIMERA_CACHE_DIR`` and ``CHIMERA_NO_CACHE`` settings
+(:mod:`repro.settings`).
 
 Entries are pickles written atomically (temp file + rename); a
 corrupted or unreadable entry is deleted and treated as a miss, never
@@ -23,15 +22,11 @@ entry key and the reason, so silent data loss is visible. Call
 Entries are sharded into two-hex-prefix subdirectories
 (``<dir>/<key[:2]>/<key>.pkl``): a 100k-spec sweep would otherwise put
 100k files in one directory, which large filesystems handle poorly and
-directory listings handle worse. Caches written by older versions used
-a flat layout; reads fall back to the flat path transparently and
-migrate the entry into its shard on first touch, so a legacy cache
-keeps hitting and converges to the sharded layout as it is used.
+directory listings handle worse.
 
 A cache on a read-only mount (CI images, shared NFS baselines) degrades
-instead of failing: legacy entries are served in place when the
-shard migration cannot write, and ``put()`` becomes a logged no-op.
-Either way the condition is logged exactly once per process.
+instead of failing: existing entries are still served and ``put()``
+becomes a no-op, logged exactly once per process.
 """
 
 from __future__ import annotations
@@ -46,12 +41,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from repro import settings
 from repro.harness import faults
 
 logger = logging.getLogger("repro.harness.cache")
-
-#: Default cache directory, relative to the current working directory.
-DEFAULT_CACHE_DIR = ".chimera-cache"
 
 
 def _is_readonly_error(exc: OSError) -> bool:
@@ -70,23 +63,21 @@ class CacheEntry:
 
 
 class ResultCache:
-    """A content-addressed pickle store for sweep results."""
+    """A content-addressed pickle store for sweep results.
+
+    ``directory`` and ``enabled`` left as None come from the
+    ``CHIMERA_CACHE_DIR`` and ``CHIMERA_NO_CACHE`` settings.
+    """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
-                 enabled: bool = True):
-        self.directory = Path(directory) if directory is not None \
-            else Path(DEFAULT_CACHE_DIR)
-        self.enabled = enabled
+                 enabled: Optional[bool] = None):
+        self.directory = Path(settings.get("CHIMERA_CACHE_DIR")
+                              if directory is None else directory)
+        self.enabled = not settings.get("CHIMERA_NO_CACHE") \
+            if enabled is None else enabled
         #: Set once the directory proves unwritable; gates the one-time
         #: warning and stops repeat write attempts.
         self._readonly = False
-
-    @classmethod
-    def from_env(cls) -> "ResultCache":
-        """Build a cache honoring ``CHIMERA_CACHE_DIR``/``CHIMERA_NO_CACHE``."""
-        directory = os.environ.get("CHIMERA_CACHE_DIR") or DEFAULT_CACHE_DIR
-        enabled = not os.environ.get("CHIMERA_NO_CACHE")
-        return cls(directory, enabled=enabled)
 
     @staticmethod
     def digest(payload: str) -> str:
@@ -97,30 +88,18 @@ class ResultCache:
         """Filesystem path of the entry for ``key`` (sharded layout)."""
         return self.directory / key[:2] / f"{key}.pkl"
 
-    def legacy_path_for(self, key: str) -> Path:
-        """Pre-sharding flat path of the entry for ``key``. Only read
-        (and migrated away from), never written."""
-        return self.directory / f"{key}.pkl"
-
     def get(self, key: str) -> Optional[CacheEntry]:
         """Load an entry, or None on a miss.
 
         A corrupted entry (truncated pickle, stale class layout, wrong
         key) is deleted, logged once with the reason, and reported as a
-        miss. An entry found only at its legacy flat path is served and
-        moved into its shard directory.
+        miss.
         """
         if not self.enabled:
             return None
         path = self.path_for(key)
-        migrate_from: Optional[Path] = None
         try:
-            try:
-                fh = path.open("rb")
-            except FileNotFoundError:
-                migrate_from = path = self.legacy_path_for(key)
-                fh = path.open("rb")
-            with fh:
+            with path.open("rb") as fh:
                 entry = pickle.load(fh)
         except FileNotFoundError:
             return None
@@ -137,8 +116,6 @@ class ResultCache:
                 getattr(entry, "key", "<missing>"))
             self._discard(path)
             return None
-        if migrate_from is not None:
-            self._migrate(key, migrate_from)
         return entry
 
     def _note_readonly(self, action: str, exc: OSError) -> None:
@@ -146,32 +123,9 @@ class ResultCache:
         if not self._readonly:
             logger.warning(
                 "cache directory %s is not writable (%s while trying to "
-                "%s); serving existing entries in place, skipping writes",
+                "%s); serving existing entries, skipping writes",
                 self.directory, exc, action)
         self._readonly = True
-
-    def _migrate(self, key: str, legacy: Path) -> None:
-        """Move a legacy flat entry into its shard directory.
-
-        Best-effort: a migration that loses a race (another process
-        already moved or rewrote the entry) or hits a filesystem error
-        leaves the entry readable where it is and tries again on the
-        next touch. On a read-only mount the flat entry is simply served
-        in place, logged once, and no further migrations are attempted.
-        """
-        if self._readonly:
-            return
-        target = self.path_for(key)
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, target)
-        except OSError as exc:
-            if _is_readonly_error(exc):
-                self._note_readonly(f"migrate entry {key} into its shard",
-                                    exc)
-                return
-            logger.warning("could not migrate cache entry %s into shard: %s",
-                           key, exc)
 
     def put(self, key: str, result: Any, duration_s: float) -> None:
         """Store a result atomically (temp file + rename).
@@ -208,15 +162,13 @@ class ResultCache:
             logger.warning("fault injection: corrupted cache entry %s", key)
 
     def clear(self) -> int:
-        """Delete every entry (sharded and legacy flat); returns how
-        many were removed."""
+        """Delete every entry; returns how many were removed."""
         if not self.directory.is_dir():
             return 0
         removed = 0
-        for pattern in ("*.pkl", "*/*.pkl"):
-            for path in self.directory.glob(pattern):
-                self._discard(path)
-                removed += 1
+        for path in self.directory.glob("*/*.pkl"):
+            self._discard(path)
+            removed += 1
         return removed
 
     @staticmethod

@@ -10,7 +10,7 @@ memoized results) across figures; by default each call builds a runner
 from the ``CHIMERA_JOBS``/``CHIMERA_CACHE_DIR``/``CHIMERA_NO_CACHE``
 environment knobs (plus the fault-tolerance knobs —
 ``CHIMERA_SPEC_TIMEOUT``, ``CHIMERA_MAX_RETRIES``,
-``CHIMERA_KEEP_GOING`` — documented in :mod:`repro.harness.sweep`).
+``CHIMERA_KEEP_GOING`` — declared in :mod:`repro.settings`).
 
 With a strict runner (the default) a permanently failed spec raises
 :class:`~repro.errors.SweepError`. With a keep-going runner

@@ -111,6 +111,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
+from repro import settings
 from repro.errors import ConfigError, ReproError
 
 #: Garbage written over a cache entry by the ``corrupt`` fault.
@@ -306,28 +307,13 @@ def active_plan() -> Optional[FaultPlan]:
     """The installed plan, else one parsed from ``CHIMERA_FAULTS``."""
     if _installed is not None:
         return _installed
-    text = os.environ.get("CHIMERA_FAULTS", "").strip()
-    if not text:
+    text = settings.get("CHIMERA_FAULTS")
+    if text is None:
         return None
     global _env_cache
     if _env_cache[0] != text:
         _env_cache = (text, parse_plan(text))
     return _env_cache[1]
-
-
-def hang_seconds() -> float:
-    """Sleep duration for the ``hang`` fault (``CHIMERA_FAULT_HANG_S``)."""
-    raw = os.environ.get("CHIMERA_FAULT_HANG_S", "").strip()
-    if not raw:
-        return 3600.0
-    try:
-        seconds = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_FAULT_HANG_S must be a number, got {raw!r}") from exc
-    if seconds < 0:
-        raise ConfigError("CHIMERA_FAULT_HANG_S must be >= 0")
-    return seconds
 
 
 def in_worker() -> bool:
@@ -350,7 +336,7 @@ def inject_before_execute(index: int, attempt: int) -> None:
     if plan.fires("crash", index, attempt) and in_worker():
         os._exit(CRASH_EXIT_CODE)
     if plan.fires("hang", index, attempt):
-        time.sleep(hang_seconds())
+        time.sleep(settings.get("CHIMERA_FAULT_HANG_S"))
     if plan.fires("fail", index, attempt):
         raise FaultInjected(
             f"injected failure (spec {index}, attempt {attempt})")
@@ -489,7 +475,7 @@ def inject_pool_break() -> None:
 def worker_hang_fires(slot: int) -> bool:
     """Should the worker on execution slot ``slot`` hang?
 
-    The daemon's worker sleeps :func:`hang_seconds` instead of
+    The daemon's worker sleeps ``CHIMERA_FAULT_HANG_S`` seconds instead of
     executing, so the per-slot heartbeat watchdog observes a stalled
     job on that slot while its siblings keep making progress. (With a
     single-slot daemon this degenerates to the pre-multi-slot
@@ -512,7 +498,6 @@ __all__ = [
     "clear",
     "drain_stall_factor",
     "estimate_skew",
-    "hang_seconds",
     "has_pool_break",
     "in_worker",
     "inject_before_execute",

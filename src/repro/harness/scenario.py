@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import settings
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Kernel
@@ -65,11 +66,15 @@ class ScenarioSpec:
     horizon_us: float = 100_000.0
     #: Extra drain time after the last possible arrival, us.
     drain_us: float = DEFAULT_DRAIN_US
-    #: Sliding-window width for windowed ANTT/STP; None: the
-    #: CHIMERA_TRAFFIC_WINDOW_US default at execution time.
+    #: Sliding-window width for windowed ANTT/STP. None resolves to the
+    #: CHIMERA_TRAFFIC_WINDOW_US setting at construction, so the width
+    #: is part of every traffic RunSpec's cache key.
     window_us: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.window_us is None:
+            object.__setattr__(self, "window_us",
+                               settings.get("CHIMERA_TRAFFIC_WINDOW_US"))
         if not self.tenants:
             raise ConfigError("a scenario needs at least one tenant")
         names = [t.name for t in self.tenants]

@@ -33,39 +33,9 @@ full state machine):
   *after* the whole batch has been driven to completion; ``strict=False``
   (keep-going) returns :class:`SpecFailure` objects in the result list.
 
-Environment knobs:
-
-* ``CHIMERA_JOBS``          — worker count (default ``os.cpu_count()``;
-  ``1`` runs every spec serially in-process)
-* ``CHIMERA_SPEC_TIMEOUT``  — per-spec wall-clock timeout in seconds
-  (default: none; ``0`` also disables)
-* ``CHIMERA_MAX_RETRIES``   — retry budget per spec (default ``1``)
-* ``CHIMERA_RETRY_BACKOFF`` — base backoff in seconds, doubled per
-  attempt (default ``0.1``)
-* ``CHIMERA_KEEP_GOING``    — any non-empty value makes runners
-  non-strict by default
-* ``CHIMERA_FAULTS``        — deterministic fault injection; see
-  :mod:`repro.harness.faults`
-* ``CHIMERA_CACHE_DIR`` / ``CHIMERA_NO_CACHE`` — see
-  :mod:`repro.harness.cache`
-* ``CHIMERA_TRACE``         — directory for per-spec event traces;
-  every executed spec writes ``<describe>-<hash>.jsonl`` there (cache
-  hits skip execution and therefore write no trace — disable the cache
-  to capture everything, as ``--trace`` does)
-* ``CHIMERA_TRACE_CAPACITY`` — per-spec trace record cap (default
-  500000; overflow counts in the file's ``dropped`` header field)
-* ``CHIMERA_SWEEP_CHUNK``    — cache misses are driven through the pool
-  in chunks of this many specs (default 2048) so giant sweeps keep
-  bounded per-chunk bookkeeping and persist work chunk by chunk;
-  ``0`` disables chunking
-* ``CHIMERA_WORKER_GROUP``   — ``"i/N"`` splits a sweep across N
-  detached runner processes coordinated only through the shared
-  content-addressed cache: this runner executes the misses whose key
-  hashes to group ``i`` and polls the cache for every other group's
-  results
-* ``CHIMERA_SHARD_WAIT``     — seconds a worker group waits for foreign
-  groups' results to appear in the cache (default 600; ``0`` fails
-  foreign misses immediately)
+Every knob (worker count, timeouts, retries, chunking, worker groups,
+tracing, the cache) is a ``CHIMERA_*`` environment setting declared in
+:mod:`repro.settings`; an explicit constructor argument overrides it.
 """
 
 from __future__ import annotations
@@ -97,6 +67,7 @@ from typing import (
 )
 
 import repro
+from repro import settings
 from repro.errors import ConfigError, SweepError
 from repro.gpu.config import GPUConfig
 from repro.harness import faults
@@ -315,27 +286,6 @@ def format_failures(failures: Sequence[SpecFailure]) -> str:
     return "\n".join(lines)
 
 
-def default_trace_dir() -> Optional[str]:
-    """Trace output directory from ``CHIMERA_TRACE`` (unset: no traces)."""
-    raw = os.environ.get("CHIMERA_TRACE", "").strip()
-    return raw or None
-
-
-def default_trace_capacity() -> int:
-    """Per-spec trace record cap from ``CHIMERA_TRACE_CAPACITY``."""
-    raw = os.environ.get("CHIMERA_TRACE_CAPACITY", "").strip()
-    if not raw:
-        return 500_000
-    try:
-        capacity = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_TRACE_CAPACITY must be an integer, got {raw!r}") from exc
-    if capacity < 1:
-        raise ConfigError("CHIMERA_TRACE_CAPACITY must be >= 1")
-    return capacity
-
-
 def trace_path_for(spec: RunSpec, trace_dir: str) -> str:
     """Where :func:`execute_timed` writes ``spec``'s trace under
     ``trace_dir``: a sanitized describe() plus a content-hash prefix, so
@@ -352,8 +302,8 @@ def execute_timed(spec: RunSpec) -> Tuple[RunResult, float]:
     by pool workers), the run is captured to a per-spec JSONL trace
     there; the dump happens outside the timed region.
     """
-    trace_dir = default_trace_dir()
-    tracer = (Tracer(capacity=default_trace_capacity())
+    trace_dir = settings.get("CHIMERA_TRACE")
+    tracer = (Tracer(capacity=settings.get("CHIMERA_TRACE_CAPACITY"))
               if trace_dir is not None else None)
     start = time.perf_counter()
     result = spec.execute(tracer=tracer)
@@ -459,135 +409,6 @@ class SweepStats:
         }
 
 
-def default_jobs() -> int:
-    """Worker count from ``CHIMERA_JOBS``, default ``os.cpu_count()``."""
-    raw = os.environ.get("CHIMERA_JOBS", "").strip()
-    if raw:
-        try:
-            jobs = int(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"CHIMERA_JOBS must be an integer, got {raw!r}") from exc
-        if jobs < 1:
-            raise ConfigError("CHIMERA_JOBS must be >= 1")
-        return jobs
-    return os.cpu_count() or 1
-
-
-def default_spec_timeout() -> Optional[float]:
-    """Per-spec timeout in seconds from ``CHIMERA_SPEC_TIMEOUT``.
-
-    Unset or ``0`` means no timeout (returns None).
-    """
-    raw = os.environ.get("CHIMERA_SPEC_TIMEOUT", "").strip()
-    if not raw:
-        return None
-    try:
-        timeout = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SPEC_TIMEOUT must be a number of seconds, "
-            f"got {raw!r}") from exc
-    if timeout < 0:
-        raise ConfigError("CHIMERA_SPEC_TIMEOUT must be >= 0 (0 disables)")
-    return timeout or None
-
-
-def default_max_retries() -> int:
-    """Retry budget per spec from ``CHIMERA_MAX_RETRIES`` (default 1)."""
-    raw = os.environ.get("CHIMERA_MAX_RETRIES", "").strip()
-    if not raw:
-        return 1
-    try:
-        retries = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_MAX_RETRIES must be an integer, got {raw!r}") from exc
-    if retries < 0:
-        raise ConfigError("CHIMERA_MAX_RETRIES must be >= 0")
-    return retries
-
-
-def default_retry_backoff() -> float:
-    """Base retry backoff seconds from ``CHIMERA_RETRY_BACKOFF``
-    (default 0.1; doubled on every subsequent attempt)."""
-    raw = os.environ.get("CHIMERA_RETRY_BACKOFF", "").strip()
-    if not raw:
-        return 0.1
-    try:
-        backoff = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_RETRY_BACKOFF must be a number of seconds, "
-            f"got {raw!r}") from exc
-    if backoff < 0:
-        raise ConfigError("CHIMERA_RETRY_BACKOFF must be >= 0")
-    return backoff
-
-
-def default_strict() -> bool:
-    """Strictness default: ``CHIMERA_KEEP_GOING`` set means non-strict."""
-    return not os.environ.get("CHIMERA_KEEP_GOING", "").strip()
-
-
-#: Default spec count per submission chunk (see CHIMERA_SWEEP_CHUNK).
-DEFAULT_CHUNK_SIZE = 2048
-
-
-def default_chunk_size() -> int:
-    """Submission chunk size from ``CHIMERA_SWEEP_CHUNK``.
-
-    ``0`` disables chunking (the whole batch is one chunk).
-    """
-    raw = os.environ.get("CHIMERA_SWEEP_CHUNK", "").strip()
-    if not raw:
-        return DEFAULT_CHUNK_SIZE
-    try:
-        chunk = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SWEEP_CHUNK must be an integer, got {raw!r}") from exc
-    if chunk < 0:
-        raise ConfigError("CHIMERA_SWEEP_CHUNK must be >= 0 (0 disables)")
-    return chunk
-
-
-def default_worker_group() -> Optional[Tuple[int, int]]:
-    """Worker-group membership ``(index, total)`` from
-    ``CHIMERA_WORKER_GROUP`` (format ``"i/N"`` with ``0 <= i < N``), or
-    None when the sweep is not split across detached runners."""
-    raw = os.environ.get("CHIMERA_WORKER_GROUP", "").strip()
-    if not raw:
-        return None
-    match = re.fullmatch(r"(\d+)/(\d+)", raw)
-    if not match:
-        raise ConfigError(
-            f"CHIMERA_WORKER_GROUP must look like 'i/N', got {raw!r}")
-    index, total = int(match.group(1)), int(match.group(2))
-    if total < 1 or not 0 <= index < total:
-        raise ConfigError(
-            f"CHIMERA_WORKER_GROUP needs 0 <= i < N, got {raw!r}")
-    return (index, total)
-
-
-def default_shard_wait() -> float:
-    """Seconds to wait for foreign worker groups' cache entries, from
-    ``CHIMERA_SHARD_WAIT`` (default 600; 0 fails foreign misses
-    immediately)."""
-    raw = os.environ.get("CHIMERA_SHARD_WAIT", "").strip()
-    if not raw:
-        return 600.0
-    try:
-        wait_s = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SHARD_WAIT must be a number of seconds, "
-            f"got {raw!r}") from exc
-    if wait_s < 0:
-        raise ConfigError("CHIMERA_SHARD_WAIT must be >= 0")
-    return wait_s
-
-
 def group_of(key: str, total: int) -> int:
     """Deterministic worker group of a cache key: the first 8 hex
     digits of the content hash modulo the group count, so every runner
@@ -623,37 +444,39 @@ class SweepRunner:
                  chunk_size: Optional[int] = None,
                  worker_group: Optional[Tuple[int, int]] = None,
                  shard_wait: Optional[float] = None):
-        self.jobs = default_jobs() if jobs is None else jobs
+        self.jobs = settings.get("CHIMERA_JOBS") if jobs is None else jobs
         if self.jobs < 1:
             raise ConfigError("SweepRunner needs at least one worker")
-        self.cache = ResultCache.from_env() if cache is None else cache
-        self.timeout = default_spec_timeout() if timeout is None \
-            else (timeout or None)
+        self.cache = ResultCache() if cache is None else cache
+        # 0 disables the timeout, from the environment or the argument.
+        self.timeout = (settings.get("CHIMERA_SPEC_TIMEOUT")
+                        if timeout is None else timeout) or None
         if self.timeout is not None and self.timeout < 0:
             raise ConfigError("timeout must be >= 0")
-        self.max_retries = default_max_retries() if max_retries is None \
-            else max_retries
+        self.max_retries = settings.get("CHIMERA_MAX_RETRIES") \
+            if max_retries is None else max_retries
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        self.retry_backoff = default_retry_backoff() if retry_backoff is None \
-            else retry_backoff
+        self.retry_backoff = settings.get("CHIMERA_RETRY_BACKOFF") \
+            if retry_backoff is None else retry_backoff
         if self.retry_backoff < 0:
             raise ConfigError("retry_backoff must be >= 0")
-        self.strict = default_strict() if strict is None else strict
+        self.strict = not settings.get("CHIMERA_KEEP_GOING") \
+            if strict is None else strict
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.chunk_size = default_chunk_size() if chunk_size is None \
-            else chunk_size
+        self.chunk_size = settings.get("CHIMERA_SWEEP_CHUNK") \
+            if chunk_size is None else chunk_size
         if self.chunk_size < 0:
             raise ConfigError("chunk_size must be >= 0 (0 disables)")
-        self.worker_group = default_worker_group() if worker_group is None \
-            else worker_group
+        self.worker_group = settings.get("CHIMERA_WORKER_GROUP") \
+            if worker_group is None else worker_group
         if self.worker_group is not None:
             index, total = self.worker_group
             if total < 1 or not 0 <= index < total:
                 raise ConfigError(
                     f"worker_group needs 0 <= i < N, got {self.worker_group}")
-        self.shard_wait = default_shard_wait() if shard_wait is None \
-            else shard_wait
+        self.shard_wait = settings.get("CHIMERA_SHARD_WAIT") \
+            if shard_wait is None else shard_wait
         if self.shard_wait < 0:
             raise ConfigError("shard_wait must be >= 0")
         if self.worker_group is not None and not self.cache.enabled:
@@ -1059,18 +882,7 @@ __all__ = [
     "SpecFailure",
     "SweepRunner",
     "SweepStats",
-    "DEFAULT_CHUNK_SIZE",
-    "default_chunk_size",
-    "default_jobs",
-    "default_max_retries",
-    "default_retry_backoff",
-    "default_shard_wait",
-    "default_spec_timeout",
-    "default_strict",
-    "default_worker_group",
     "group_of",
-    "default_trace_capacity",
-    "default_trace_dir",
     "execute_faulted",
     "execute_timed",
     "format_failures",

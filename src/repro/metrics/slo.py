@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro import settings
 from repro.errors import ConfigError
 from repro.metrics.metrics import antt, percentile, stp
 
@@ -189,8 +190,7 @@ def slo_report(outcomes: Sequence[ArrivalOutcome],
     if horizon_us <= 0:
         raise ConfigError("SLO report needs a positive horizon")
     if window_us is None:
-        from repro.workloads.traffic import default_window_us
-        window_us = default_window_us()
+        window_us = settings.get("CHIMERA_TRAFFIC_WINDOW_US")
     if window_us <= 0:
         raise ConfigError("SLO window must be positive")
     by_tenant: Dict[str, List[ArrivalOutcome]] = {}

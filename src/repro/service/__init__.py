@@ -18,20 +18,14 @@ See DESIGN.md §12 for the architecture and the durability contract,
 §15 for overload control.
 """
 
-from repro.service.admission import AdmissionQueue, default_capacity
+from repro.service.admission import AdmissionQueue
 from repro.service.client import ServiceClient
-from repro.service.daemon import (
-    SchedulerDaemon,
-    default_heartbeat,
-    default_service_dir,
-    reconcile_qos,
-)
+from repro.service.daemon import SchedulerDaemon, reconcile_qos
 from repro.service.overload import (
     BROWNOUT_LEVELS,
     BrownoutController,
     CircuitBreaker,
     ServiceTimeEstimator,
-    default_queue_ttl,
 )
 from repro.service.state import Job, JobState, is_terminal, validate_transition
 from repro.service.store import JobTable, JournalStore
@@ -48,10 +42,6 @@ __all__ = [
     "SchedulerDaemon",
     "ServiceClient",
     "ServiceTimeEstimator",
-    "default_capacity",
-    "default_heartbeat",
-    "default_queue_ttl",
-    "default_service_dir",
     "is_terminal",
     "reconcile_qos",
     "validate_transition",

@@ -15,39 +15,24 @@ for a given submission history.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import List, Optional, Set, Tuple
 
+from repro import settings
 from repro.errors import AdmissionError, ConfigError, ServiceError
 from repro.service.state import Job
 
-__all__ = ["AdmissionQueue", "DEFAULT_CAPACITY", "default_capacity"]
-
-#: Default bound on waiting jobs (``CHIMERA_SERVICE_CAPACITY``).
-DEFAULT_CAPACITY = 64
-
-
-def default_capacity() -> int:
-    """Queue bound from ``CHIMERA_SERVICE_CAPACITY`` (default 64)."""
-    raw = os.environ.get("CHIMERA_SERVICE_CAPACITY", "").strip()
-    if not raw:
-        return DEFAULT_CAPACITY
-    try:
-        capacity = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SERVICE_CAPACITY must be an integer, got {raw!r}"
-        ) from exc
-    if capacity < 1:
-        raise ConfigError("CHIMERA_SERVICE_CAPACITY must be >= 1")
-    return capacity
+__all__ = ["AdmissionQueue"]
 
 
 class AdmissionQueue:
-    """A bounded max-priority queue of :class:`~repro.service.state.Job`."""
+    """A bounded max-priority queue of :class:`~repro.service.state.Job`.
+
+    ``capacity`` defaults to the ``CHIMERA_SERVICE_CAPACITY`` setting.
+    """
 
     def __init__(self, capacity: Optional[int] = None):
-        self.capacity = default_capacity() if capacity is None else capacity
+        self.capacity = settings.get("CHIMERA_SERVICE_CAPACITY") \
+            if capacity is None else capacity
         if self.capacity < 1:
             raise ConfigError("admission queue capacity must be >= 1")
         self._heap: List[Tuple[Tuple[int, int], Job]] = []

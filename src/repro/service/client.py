@@ -19,14 +19,11 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro import settings
 from repro.errors import AdmissionError, ServiceError
 from repro.harness.sweep import RunSpec
 from repro.metrics.slo import service_report
-from repro.service.daemon import (
-    _atomic_write_json,
-    default_service_dir,
-    reconcile_qos,
-)
+from repro.service.daemon import _atomic_write_json, reconcile_qos
 from repro.service.state import JobState, is_terminal
 from repro.service.store import JobTable, JournalStore, spec_to_dict
 
@@ -43,7 +40,7 @@ class ServiceClient:
 
     def __init__(self, directory: Optional[os.PathLike] = None):
         self.directory = Path(directory if directory is not None
-                              else default_service_dir())
+                              else settings.get("CHIMERA_SERVICE_DIR"))
         self.spool_dir = self.directory / "spool"
         self.results_dir = self.directory / "results"
         self.control_dir = self.directory / "control"

@@ -47,19 +47,9 @@ Durability contract (DESIGN.md §12, §14)
   as they stand, and deduplicates spool files for jobs the journal
   already knows — no job is lost, none runs twice.
 
-Environment knobs:
-
-* ``CHIMERA_SERVICE_DIR``      — service directory (default
-  ``.chimera-service``): journal, spool, results, control files
-* ``CHIMERA_SERVICE_CAPACITY`` — admission queue bound (default 64)
-* ``CHIMERA_SERVICE_WORKERS``  — concurrent execution slots (default
-  ``os.cpu_count()``); ``1`` keeps execution in-process/in-thread
-* ``CHIMERA_HEARTBEAT``        — worker heartbeat watchdog timeout in
-  seconds (default 30); a worker silent for longer is declared lost and
-  its job FAILED
-* ``CHIMERA_QUEUE_TTL``, ``CHIMERA_BROWNOUT_*``, ``CHIMERA_BREAKER_*``
-  — overload control (queue-age expiry, brownout watermarks, worker
-  pool circuit breaker); see :mod:`repro.service.overload`
+The service directory, queue capacity, slot count, heartbeat timeout
+and the overload-control knobs default to ``CHIMERA_*`` settings
+(:mod:`repro.settings`); a constructor argument overrides each.
 
 Overload control (DESIGN.md §15)
 --------------------------------
@@ -92,9 +82,10 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import settings
 from repro.errors import AdmissionError, ConfigError, ServiceError
 from repro.harness import faults
-from repro.harness.cache import ResultCache
+from repro.harness.cache import CacheEntry, ResultCache
 from repro.harness.runner import result_qos
 from repro.harness.scenario import result_slo
 from repro.harness.sweep import RunSpec, execute_timed
@@ -105,7 +96,6 @@ from repro.service.overload import (
     BrownoutController,
     CircuitBreaker,
     ServiceTimeEstimator,
-    default_queue_ttl,
 )
 from repro.service.state import Job, JobState, is_terminal
 from repro.service.store import (
@@ -117,63 +107,12 @@ from repro.service.store import (
 
 logger = logging.getLogger("repro.service.daemon")
 
-__all__ = ["SchedulerDaemon", "DEFAULT_SERVICE_DIR", "DEFAULT_HEARTBEAT_S",
-           "default_heartbeat", "default_service_dir", "default_workers",
-           "reconcile_qos"]
-
-#: Default service directory, relative to the current working directory.
-DEFAULT_SERVICE_DIR = ".chimera-service"
-
-#: Default worker heartbeat watchdog timeout, seconds.
-DEFAULT_HEARTBEAT_S = 30.0
+__all__ = ["SchedulerDaemon", "reconcile_qos"]
 
 #: Journal states that mean "the daemon owed this job a dispatch" — a
 #: crash while a job sits in one of them re-queues it on restart, and
 #: the ``crash-inflight@K`` fault counts jobs in them.
 _DISPATCH_STATES = (JobState.ADMITTED, JobState.RUNNING, JobState.RESUMED)
-
-
-def default_service_dir() -> str:
-    """Service directory from ``CHIMERA_SERVICE_DIR``."""
-    return os.environ.get("CHIMERA_SERVICE_DIR", "").strip() \
-        or DEFAULT_SERVICE_DIR
-
-
-def default_heartbeat() -> float:
-    """Watchdog timeout in seconds from ``CHIMERA_HEARTBEAT``."""
-    raw = os.environ.get("CHIMERA_HEARTBEAT", "").strip()
-    if not raw:
-        return DEFAULT_HEARTBEAT_S
-    try:
-        heartbeat = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_HEARTBEAT must be a number of seconds, got {raw!r}"
-        ) from exc
-    if heartbeat <= 0:
-        raise ConfigError("CHIMERA_HEARTBEAT must be > 0")
-    return heartbeat
-
-
-def default_workers() -> int:
-    """Execution slot count from ``CHIMERA_SERVICE_WORKERS``.
-
-    Defaults to ``os.cpu_count()`` (at least 1): the daemon's specs are
-    CPU-bound simulator runs, so one slot per core is the saturation
-    point.
-    """
-    raw = os.environ.get("CHIMERA_SERVICE_WORKERS", "").strip()
-    if not raw:
-        return max(1, os.cpu_count() or 1)
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SERVICE_WORKERS must be an integer, got {raw!r}"
-        ) from exc
-    if workers < 1:
-        raise ConfigError("CHIMERA_SERVICE_WORKERS must be >= 1")
-    return workers
 
 
 def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
@@ -199,24 +138,20 @@ def _pool_warmup() -> int:
     return os.getpid()
 
 
-def _process_spec(spec: RunSpec, cache_dir: str,
-                  cache_enabled: bool) -> Dict[str, Any]:
-    """Pool-worker side of one spec execution.
+def _spec_summary(spec: RunSpec, cache: ResultCache,
+                  entry: Optional[CacheEntry]) -> Dict[str, Any]:
+    """Summarize one spec as ``{duration_s, qos, slo}``: from its cache
+    ``entry``, or, with none, by executing it and caching the result.
 
-    Runs in a forked worker process: rebuilds a cache handle over the
-    shared directory, executes (or replays) the spec, and returns only
-    the small summary fields — large results never cross the pipe, they
-    land in the content-addressed cache where the parent (or a restart)
-    can replay them.
+    Also the pool-worker task: in a forked worker only this small
+    summary crosses the pipe back; the full result lands in the shared
+    content-addressed cache, where the parent (or a restart) replays it.
     """
-    cache = ResultCache(cache_dir, enabled=cache_enabled)
-    key = spec.cache_key()
-    entry = cache.get(key)
-    if entry is not None:
-        result, duration = entry.result, entry.duration_s
-    else:
+    if entry is None:
         result, duration = execute_timed(spec)
-        cache.put(key, result, duration)
+        cache.put(spec.cache_key(), result, duration)
+    else:
+        result, duration = entry.result, entry.duration_s
     return {"duration_s": round(duration, 6),
             "qos": result_qos(result),
             "slo": result_slo(result)}
@@ -267,7 +202,7 @@ class SchedulerDaemon:
                  brownout: Optional[BrownoutController] = None,
                  breaker: Optional[CircuitBreaker] = None):
         self.directory = Path(directory if directory is not None
-                              else default_service_dir())
+                              else settings.get("CHIMERA_SERVICE_DIR"))
         self.spool_dir = self.directory / "spool"
         self.results_dir = self.directory / "results"
         self.control_dir = self.directory / "control"
@@ -275,13 +210,14 @@ class SchedulerDaemon:
         #: one fsync in :meth:`_commit` before acting on any of them.
         self.store = JournalStore(self.directory, autosync=False)
         self.queue = AdmissionQueue(capacity)
-        self.heartbeat_s = (default_heartbeat() if heartbeat_s is None
-                            else heartbeat_s)
+        self.heartbeat_s = (settings.get("CHIMERA_HEARTBEAT")
+                            if heartbeat_s is None else heartbeat_s)
         if self.heartbeat_s <= 0:
             raise ConfigError("heartbeat_s must be > 0")
-        self.cache = ResultCache.from_env() if cache is None else cache
+        self.cache = ResultCache() if cache is None else cache
         self.poll_s = poll_s
-        self.workers = default_workers() if workers is None else int(workers)
+        self.workers = (settings.get("CHIMERA_SERVICE_WORKERS")
+                        if workers is None else int(workers))
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         #: With one worker, specs run in the slot thread (the PR 7
@@ -310,26 +246,17 @@ class SchedulerDaemon:
         # Overload control (DESIGN.md §15): deadline-aware admission,
         # brownout shedding, queue-age expiry, pool circuit breaker.
         self.estimator = ServiceTimeEstimator()
-        self.brownout = (BrownoutController.from_env() if brownout is None
-                         else brownout)
-        self.breaker = CircuitBreaker.from_env() if breaker is None \
-            else breaker
-        self.queue_ttl_s = (default_queue_ttl() if queue_ttl_s is None
-                            else float(queue_ttl_s))
+        self.brownout = BrownoutController() if brownout is None \
+            else brownout
+        self.breaker = CircuitBreaker() if breaker is None else breaker
+        self.queue_ttl_s = (settings.get("CHIMERA_QUEUE_TTL")
+                            if queue_ttl_s is None else float(queue_ttl_s))
         if self.queue_ttl_s < 0:
             raise ConfigError("queue_ttl_s must be >= 0")
         #: Breaker state as last journaled; the tick thread journals
         #: changes it observes (slot threads flip the breaker but must
         #: never touch the journal — it is not thread-safe).
         self._breaker_journaled = CircuitBreaker.CLOSED
-
-    @property
-    def running(self) -> Optional[_RunningJob]:
-        """The first busy slot (single-worker compatibility view)."""
-        for run in self.slots:
-            if run is not None:
-                return run
-        return None
 
     def _busy(self) -> bool:
         return any(run is not None for run in self.slots)
@@ -1082,7 +1009,7 @@ class SchedulerDaemon:
         job = run.job
         try:
             if faults.worker_hang_fires(run.slot):
-                time.sleep(faults.hang_seconds())
+                time.sleep(settings.get("CHIMERA_FAULT_HANG_S"))
             for i in range(run.completed, len(job.specs)):
                 if run.cancel.is_set():
                     run.outcome = ("killed", i)
@@ -1126,17 +1053,12 @@ class SchedulerDaemon:
         spec = job.specs[index]
         key = spec.cache_key()
         entry = self.cache.get(key)
-        if entry is not None:
-            result, duration = entry.result, entry.duration_s
-            return {"index": index, "spec": spec.describe(), "key": key,
-                    "duration_s": round(duration, 6),
-                    "qos": result_qos(result),
-                    "slo": result_slo(result)}
         summary: Optional[Dict[str, Any]] = None
         # Thread-mode daemons have no real pool; an active pool-break
         # fault still routes misses through the breaker path so the
         # breaker is exercisable without forked workers.
-        pool_candidate = self.use_processes or faults.has_pool_break()
+        pool_candidate = entry is None and (
+            self.use_processes or faults.has_pool_break())
         if pool_candidate and self.breaker.allow_pool():
             try:
                 summary = self._submit_to_pool(spec)
@@ -1153,11 +1075,7 @@ class SchedulerDaemon:
                     logger.info("breaker probe succeeded; full-slot "
                                 "dispatch restored")
         if summary is None:
-            result, duration = execute_timed(spec)
-            self.cache.put(key, result, duration)
-            summary = {"duration_s": round(duration, 6),
-                       "qos": result_qos(result),
-                       "slo": result_slo(result)}
+            summary = _spec_summary(spec, self.cache, entry)
         return {"index": index, "spec": spec.describe(), "key": key,
                 **summary}
 
@@ -1177,14 +1095,13 @@ class SchedulerDaemon:
                     self._start_pool()
                 pool = self._pool
         if pool is None:
-            result, duration = execute_timed(spec)
-            self.cache.put(spec.cache_key(), result, duration)
-            return {"duration_s": round(duration, 6),
-                    "qos": result_qos(result),
-                    "slo": result_slo(result)}
-        future = pool.submit(_process_spec, spec,
-                             str(self.cache.directory),
-                             self.cache.enabled)
+            return _spec_summary(spec, self.cache, None)
+        # A plain handle over the same directory crosses to the worker:
+        # the daemon's own cache may be a subclass with parent-only state.
+        future = pool.submit(_spec_summary, spec,
+                             ResultCache(self.cache.directory,
+                                         enabled=self.cache.enabled),
+                             None)
         return future.result()
 
     def _retire_pool(self) -> None:
@@ -1241,7 +1158,7 @@ def reconcile_qos(directory: Optional[os.PathLike] = None) -> Dict[str, Any]:
     job's result file exists and its ledger matches the journal.
     """
     base = Path(directory if directory is not None else
-                default_service_dir())
+                settings.get("CHIMERA_SERVICE_DIR"))
     store = JournalStore(base)
     table = JobTable.from_records(store.replay())
     mismatches: List[str] = []

@@ -25,37 +25,18 @@ daemon composes into a graceful-degradation layer (DESIGN.md §15):
   concurrency. Failures while half-open re-open the circuit and restart
   the cooldown.
 
-Environment knobs (all optional; see the README table):
-
-* ``CHIMERA_QUEUE_TTL``           — queued jobs older than this many
-  seconds expire to ``TIMED_OUT`` (default ``0`` = disabled)
-* ``CHIMERA_BROWNOUT_ENTER``      — pressure watermark to escalate one
-  level (fraction, default ``0.85``)
-* ``CHIMERA_BROWNOUT_EXIT``       — pressure watermark to de-escalate
-  (default ``0.5``; must be below the enter watermark)
-* ``CHIMERA_BROWNOUT_AGE_S``      — oldest-queued age that counts as
-  full (1.0) pressure (default ``30``; ``0`` disables age pressure)
-* ``CHIMERA_BROWNOUT_DWELL_S``    — minimum seconds between brownout
-  level changes (default ``1.0``)
-* ``CHIMERA_BROWNOUT_BEST_EFFORT``— priorities ≤ this are the
-  best-effort class (default ``0``)
-* ``CHIMERA_BROWNOUT_CRITICAL``   — priorities ≥ this are the critical
-  class (default ``5``); between the two thresholds is "low priority"
-* ``CHIMERA_BREAKER_K``           — pool failures within the window
-  that open the circuit (default ``3``)
-* ``CHIMERA_BREAKER_WINDOW``      — failure-counting window, seconds
-  (default ``30``)
-* ``CHIMERA_BREAKER_COOLDOWN``    — seconds the circuit stays open
-  before a half-open probe (default ``5``)
+The brownout watermarks, the breaker thresholds and the queue TTL
+default to ``CHIMERA_*`` settings (:mod:`repro.settings`); constructor
+arguments override them.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.errors import ConfigError
 
 __all__ = [
@@ -63,75 +44,12 @@ __all__ = [
     "BrownoutController",
     "CircuitBreaker",
     "ServiceTimeEstimator",
-    "default_breaker_config",
-    "default_brownout_config",
-    "default_queue_ttl",
 ]
 
 #: Brownout levels, mildest first. The index is the level number that
 #: rides on every journaled ``brownout`` meta record.
 BROWNOUT_LEVELS = ("normal", "shed-best-effort", "shed-low-priority",
                    "critical-only")
-
-
-def _env_float(name: str, default: float, minimum: Optional[float] = None,
-               maximum: Optional[float] = None) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum:g}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{name} must be <= {maximum:g}")
-    return value
-
-
-def _env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}")
-    return value
-
-
-def default_queue_ttl() -> float:
-    """Queue TTL in seconds from ``CHIMERA_QUEUE_TTL`` (0 disables)."""
-    return _env_float("CHIMERA_QUEUE_TTL", 0.0, minimum=0.0)
-
-
-def default_brownout_config() -> Dict[str, float]:
-    """Brownout knobs from the ``CHIMERA_BROWNOUT_*`` environment."""
-    config = {
-        "enter_frac": _env_float("CHIMERA_BROWNOUT_ENTER", 0.85,
-                                 minimum=0.0, maximum=1.0),
-        "exit_frac": _env_float("CHIMERA_BROWNOUT_EXIT", 0.5,
-                                minimum=0.0, maximum=1.0),
-        "age_full_s": _env_float("CHIMERA_BROWNOUT_AGE_S", 30.0,
-                                 minimum=0.0),
-        "dwell_s": _env_float("CHIMERA_BROWNOUT_DWELL_S", 1.0, minimum=0.0),
-        "best_effort_max": _env_int("CHIMERA_BROWNOUT_BEST_EFFORT", 0),
-        "critical_min": _env_int("CHIMERA_BROWNOUT_CRITICAL", 5),
-    }
-    return config
-
-
-def default_breaker_config() -> Dict[str, float]:
-    """Circuit-breaker knobs from the ``CHIMERA_BREAKER_*`` environment."""
-    return {
-        "k": _env_int("CHIMERA_BREAKER_K", 3, minimum=1),
-        "window_s": _env_float("CHIMERA_BREAKER_WINDOW", 30.0, minimum=0.0),
-        "cooldown_s": _env_float("CHIMERA_BREAKER_COOLDOWN", 5.0,
-                                 minimum=0.0),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +162,26 @@ class BrownoutController:
       non-critical jobs too.
     """
 
-    def __init__(self, enter_frac: float = 0.85, exit_frac: float = 0.5,
-                 age_full_s: float = 30.0, dwell_s: float = 1.0,
-                 best_effort_max: int = 0, critical_min: int = 5,
+    def __init__(self, enter_frac: Optional[float] = None,
+                 exit_frac: Optional[float] = None,
+                 age_full_s: Optional[float] = None,
+                 dwell_s: Optional[float] = None,
+                 best_effort_max: Optional[int] = None,
+                 critical_min: Optional[int] = None,
                  clock: Callable[[], float] = time.monotonic):
+        # Knobs left as None come from the settings registry.
+        if enter_frac is None:
+            enter_frac = settings.get("CHIMERA_BROWNOUT_ENTER")
+        if exit_frac is None:
+            exit_frac = settings.get("CHIMERA_BROWNOUT_EXIT")
+        if age_full_s is None:
+            age_full_s = settings.get("CHIMERA_BROWNOUT_AGE_S")
+        if dwell_s is None:
+            dwell_s = settings.get("CHIMERA_BROWNOUT_DWELL_S")
+        if best_effort_max is None:
+            best_effort_max = settings.get("CHIMERA_BROWNOUT_BEST_EFFORT")
+        if critical_min is None:
+            critical_min = settings.get("CHIMERA_BROWNOUT_CRITICAL")
         if not 0.0 < enter_frac <= 1.0:
             raise ConfigError("brownout enter watermark must be in (0, 1]")
         if not 0.0 <= exit_frac < enter_frac:
@@ -269,11 +203,6 @@ class BrownoutController:
         self.level = 0
         self.pressure = 0.0
         self._last_change = clock()
-
-    @classmethod
-    def from_env(cls, clock: Callable[[], float] = time.monotonic
-                 ) -> "BrownoutController":
-        return cls(clock=clock, **default_brownout_config())
 
     @property
     def name(self) -> str:
@@ -360,9 +289,17 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    def __init__(self, k: int = 3, window_s: float = 30.0,
-                 cooldown_s: float = 5.0,
+    def __init__(self, k: Optional[int] = None,
+                 window_s: Optional[float] = None,
+                 cooldown_s: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic):
+        # Knobs left as None come from the settings registry.
+        if k is None:
+            k = settings.get("CHIMERA_BREAKER_K")
+        if window_s is None:
+            window_s = settings.get("CHIMERA_BREAKER_WINDOW")
+        if cooldown_s is None:
+            cooldown_s = settings.get("CHIMERA_BREAKER_COOLDOWN")
         if k < 1:
             raise ConfigError("breaker K must be >= 1")
         if window_s < 0 or cooldown_s < 0:
@@ -380,13 +317,6 @@ class CircuitBreaker:
         self.trips = 0
         #: Half-open probes attempted.
         self.probes = 0
-
-    @classmethod
-    def from_env(cls, clock: Callable[[], float] = time.monotonic
-                 ) -> "CircuitBreaker":
-        config = default_breaker_config()
-        return cls(k=int(config["k"]), window_s=config["window_s"],
-                   cooldown_s=config["cooldown_s"], clock=clock)
 
     @property
     def state(self) -> str:

@@ -19,16 +19,15 @@ instead of mutating the environment.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
+
+from repro import settings
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy  # noqa: F401
     HAVE_NUMPY = True
 except ImportError:  # pragma: no cover - CI images always carry numpy
     HAVE_NUMPY = False
-
-_FALSEY = ("0", "off", "false", "no")
 
 #: Programmatic override (tests): None defers to the environment.
 _override: Optional[bool] = None
@@ -46,8 +45,7 @@ def vector_enabled() -> bool:
         return False
     if _override is not None:
         return _override
-    raw = os.environ.get("CHIMERA_FLUID_VECTOR", "").strip().lower()
-    return raw not in _FALSEY
+    return settings.get("CHIMERA_FLUID_VECTOR")
 
 
 __all__ = ["HAVE_NUMPY", "set_vector_override", "vector_enabled"]

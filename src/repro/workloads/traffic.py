@@ -27,94 +27,33 @@ times, one for kernel-mix sampling), so adding a tenant never perturbs
 another tenant's stream, and the interarrival stream stays statistically
 clean for the KS conformance tests.
 
-Environment knobs:
-
-* ``CHIMERA_TRAFFIC_MAX_ARRIVALS`` — safety cap on a generated stream
-  (default 200000); a runaway rate x horizon combination raises
-  :class:`~repro.errors.ConfigError` instead of looping forever
-* ``CHIMERA_TRAFFIC_MIX``          — default kernel-mix catalog name
-  for tenants that do not pin one (default ``table2-short``)
-* ``CHIMERA_TRAFFIC_WINDOW_US``    — sliding-window width for the SLO
-  report's windowed ANTT/STP (default 10000)
+The stream-size safety cap and the default kernel mix are the
+``CHIMERA_TRAFFIC_MAX_ARRIVALS`` and ``CHIMERA_TRAFFIC_MIX`` settings
+(:mod:`repro.settings`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.errors import ConfigError
-from repro.workloads.specs import KernelMix, mix as mix_by_name, mix_names
+from repro.workloads.specs import KernelMix, mix as mix_by_name
 
 __all__ = [
     "Arrival", "ArrivalSpec", "TenantSpec", "ARRIVAL_KINDS",
     "build_stream", "tenant_stream", "merge_streams", "encode_stream",
-    "decode_stream", "default_max_arrivals", "default_mix_name",
-    "default_window_us", "ks_statistic", "ks_threshold",
+    "decode_stream", "ks_statistic", "ks_threshold",
     "exponential_cdf", "index_of_dispersion",
 ]
 
 #: Supported arrival-process kinds.
 ARRIVAL_KINDS = ("poisson", "diurnal", "bursty")
-
-#: Default safety cap on generated arrivals per stream.
-DEFAULT_MAX_ARRIVALS = 200_000
-
-#: Default kernel mix for tenants that do not pin one.
-DEFAULT_MIX = "table2-short"
-
-#: Default sliding-window width for windowed SLO metrics, us.
-DEFAULT_WINDOW_US = 10_000.0
-
-
-def default_max_arrivals() -> int:
-    """Stream-size safety cap from ``CHIMERA_TRAFFIC_MAX_ARRIVALS``."""
-    raw = os.environ.get("CHIMERA_TRAFFIC_MAX_ARRIVALS", "").strip()
-    if not raw:
-        return DEFAULT_MAX_ARRIVALS
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_TRAFFIC_MAX_ARRIVALS must be an integer, got {raw!r}"
-        ) from exc
-    if cap < 1:
-        raise ConfigError("CHIMERA_TRAFFIC_MAX_ARRIVALS must be >= 1")
-    return cap
-
-
-def default_mix_name() -> str:
-    """Default kernel-mix name from ``CHIMERA_TRAFFIC_MIX``."""
-    raw = os.environ.get("CHIMERA_TRAFFIC_MIX", "").strip()
-    if not raw:
-        return DEFAULT_MIX
-    if raw not in mix_names():
-        raise ConfigError(
-            f"CHIMERA_TRAFFIC_MIX names unknown mix {raw!r}; "
-            f"known: {sorted(mix_names())}")
-    return raw
-
-
-def default_window_us() -> float:
-    """Sliding-window width from ``CHIMERA_TRAFFIC_WINDOW_US``."""
-    raw = os.environ.get("CHIMERA_TRAFFIC_WINDOW_US", "").strip()
-    if not raw:
-        return DEFAULT_WINDOW_US
-    try:
-        window = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_TRAFFIC_WINDOW_US must be a number, got {raw!r}"
-        ) from exc
-    if window <= 0:
-        raise ConfigError("CHIMERA_TRAFFIC_WINDOW_US must be > 0")
-    return window
-
 
 # ----------------------------------------------------------------------
 # specs
@@ -208,7 +147,8 @@ class TenantSpec:
 
     name: str
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
-    #: Kernel-mix catalog name (empty: the CHIMERA_TRAFFIC_MIX default).
+    #: Kernel-mix catalog name. Empty resolves to the CHIMERA_TRAFFIC_MIX
+    #: setting at construction, so the mix is part of every cache key.
     mix: str = ""
     #: Admission priority; higher preempts lower in the daemon and gets
     #: a proportionally larger SM share in the simulator.
@@ -221,12 +161,19 @@ class TenantSpec:
             raise ConfigError(f"invalid tenant name {self.name!r}")
         if self.mix:
             mix_by_name(self.mix)  # validate eagerly
+        else:
+            name = settings.get("CHIMERA_TRAFFIC_MIX")
+            try:
+                mix_by_name(name)
+            except ConfigError as exc:
+                raise ConfigError(f"CHIMERA_TRAFFIC_MIX: {exc}") from None
+            object.__setattr__(self, "mix", name)
         if self.slo_us <= 0:
             raise ConfigError(f"tenant {self.name}: slo_us must be positive")
 
     def kernel_mix(self) -> KernelMix:
-        """The tenant's resolved kernel-mix catalog."""
-        return mix_by_name(self.mix or default_mix_name())
+        """The tenant's kernel-mix catalog."""
+        return mix_by_name(self.mix)
 
 
 @dataclass(frozen=True)
@@ -344,7 +291,7 @@ def arrival_times(spec: ArrivalSpec, rng: random.Random,
     """Generate one tenant's raw arrival times in [0, horizon)."""
     if horizon_us <= 0:
         raise ConfigError("traffic horizon must be positive")
-    cap = default_max_arrivals() if cap is None else cap
+    cap = settings.get("CHIMERA_TRAFFIC_MAX_ARRIVALS") if cap is None else cap
     if spec.kind == "poisson":
         return _poisson_times(rng, spec.rate_per_us, horizon_us, cap)
     if spec.kind == "diurnal":
@@ -384,7 +331,7 @@ def merge_streams(streams: Iterable[Sequence[Arrival]],
     """
     merged = sorted((a for stream in streams for a in stream),
                     key=lambda a: (a.t_us, a.tenant, a.seq))
-    cap = default_max_arrivals() if cap is None else cap
+    cap = settings.get("CHIMERA_TRAFFIC_MAX_ARRIVALS") if cap is None else cap
     if len(merged) > cap:
         raise ConfigError(
             f"merged traffic stream has {len(merged)} arrivals, above the "

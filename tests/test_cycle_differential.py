@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.functional.gpusim import CycleGPU, lockstep_from_env
+from repro.functional.gpusim import CycleGPU
 from repro.functional.machine import GlobalMemory
 from repro.functional.smsim import cross_validate
 from repro.functional.warpsim import SchedulerKind, WarpLevelSM
@@ -207,11 +207,9 @@ class TestRooflineCrossCheck:
 class TestEnvKnob:
     def test_lockstep_env_default(self, monkeypatch):
         monkeypatch.delenv("CHIMERA_CYCLE_LOCKSTEP", raising=False)
-        assert not lockstep_from_env()
         gpu = CycleGPU(vector_add(32), 2, TPB)
         assert not gpu.lockstep
         monkeypatch.setenv("CHIMERA_CYCLE_LOCKSTEP", "1")
-        assert lockstep_from_env()
         gpu = CycleGPU(vector_add(32), 2, TPB)
         assert gpu.lockstep
         # Explicit argument beats the environment.

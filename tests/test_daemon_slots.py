@@ -35,7 +35,6 @@ from repro.service import (
     SchedulerDaemon,
     ServiceClient,
 )
-from repro.service.daemon import default_workers
 
 
 @pytest.fixture(autouse=True)
@@ -139,7 +138,7 @@ class TestConcurrentDispatch:
         try:
             assert len(daemon.slots) == 1
             daemon.run_until_idle()
-            assert daemon.running is None
+            assert daemon.slots[0] is None
         finally:
             daemon.shutdown()
         assert client.status()["counts"] == {"completed": 1}
@@ -327,7 +326,7 @@ class TestGroupCommit:
         client = ServiceClient(tmp_path / "svc")
         client.submit([_spec(901)], job_id="a")
         try:
-            _tick_until(daemon, lambda: daemon.running is not None,
+            _tick_until(daemon, lambda: daemon.slots[0] is not None,
                         "job dispatched")
             daemon._wake.clear()
             gates[901].set()
@@ -455,17 +454,15 @@ class TestKInflightCrashSweep:
 
 
 class TestConfigAndStatus:
-    def test_default_workers_env(self, monkeypatch):
+    def test_default_workers_env(self, monkeypatch, tmp_path):
         monkeypatch.delenv("CHIMERA_SERVICE_WORKERS", raising=False)
-        assert default_workers() >= 1
+        assert _daemon(tmp_path, monkeypatch, None, workers=None).workers >= 1
         monkeypatch.setenv("CHIMERA_SERVICE_WORKERS", "3")
-        assert default_workers() == 3
+        daemon = _daemon(tmp_path, monkeypatch, None, workers=None)
+        assert daemon.workers == 3 and len(daemon.slots) == 3
         monkeypatch.setenv("CHIMERA_SERVICE_WORKERS", "0")
-        with pytest.raises(ConfigError):
-            default_workers()
-        monkeypatch.setenv("CHIMERA_SERVICE_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            default_workers()
+        with pytest.raises(ConfigError, match="CHIMERA_SERVICE_WORKERS"):
+            _daemon(tmp_path, monkeypatch, None, workers=None)
 
     def test_workers_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -27,10 +27,6 @@ from repro.harness.sweep import (
     RunSpec,
     SpecFailure,
     SweepRunner,
-    default_max_retries,
-    default_retry_backoff,
-    default_spec_timeout,
-    default_strict,
     format_failures,
 )
 
@@ -355,54 +351,53 @@ class TestCorruptionFault:
         assert spec.cache_key() in discards[0].getMessage()
 
 
+def _knob_runner() -> SweepRunner:
+    return SweepRunner(jobs=1, cache=ResultCache("unused", enabled=False))
+
+
 class TestKnobValidation:
+    """The runner and the hang fault take their knobs from the settings
+    registry; parsing itself is covered in test_settings.py."""
+
     def test_spec_timeout_env(self, monkeypatch):
         monkeypatch.setenv("CHIMERA_SPEC_TIMEOUT", "2.5")
-        assert default_spec_timeout() == 2.5
+        assert _knob_runner().timeout == 2.5
         monkeypatch.setenv("CHIMERA_SPEC_TIMEOUT", "0")
-        assert default_spec_timeout() is None
+        assert _knob_runner().timeout is None
         monkeypatch.setenv("CHIMERA_SPEC_TIMEOUT", "soon")
-        with pytest.raises(ConfigError) as excinfo:
-            default_spec_timeout()
-        assert isinstance(excinfo.value.__cause__, ValueError)
-        monkeypatch.setenv("CHIMERA_SPEC_TIMEOUT", "-1")
-        with pytest.raises(ConfigError):
-            default_spec_timeout()
+        with pytest.raises(ConfigError, match="CHIMERA_SPEC_TIMEOUT"):
+            _knob_runner()
 
     def test_max_retries_env(self, monkeypatch):
         monkeypatch.setenv("CHIMERA_MAX_RETRIES", "3")
-        assert default_max_retries() == 3
-        monkeypatch.setenv("CHIMERA_MAX_RETRIES", "many")
-        with pytest.raises(ConfigError) as excinfo:
-            default_max_retries()
-        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert _knob_runner().max_retries == 3
         monkeypatch.setenv("CHIMERA_MAX_RETRIES", "-1")
-        with pytest.raises(ConfigError):
-            default_max_retries()
+        with pytest.raises(ConfigError, match="CHIMERA_MAX_RETRIES"):
+            _knob_runner()
 
     def test_retry_backoff_env(self, monkeypatch):
         monkeypatch.setenv("CHIMERA_RETRY_BACKOFF", "0.25")
-        assert default_retry_backoff() == 0.25
+        assert _knob_runner().retry_backoff == 0.25
         monkeypatch.setenv("CHIMERA_RETRY_BACKOFF", "slow")
-        with pytest.raises(ConfigError) as excinfo:
-            default_retry_backoff()
-        assert isinstance(excinfo.value.__cause__, ValueError)
+        with pytest.raises(ConfigError, match="CHIMERA_RETRY_BACKOFF"):
+            _knob_runner()
 
     def test_keep_going_env_flips_strict_default(self, monkeypatch):
-        assert default_strict() is True
+        monkeypatch.delenv("CHIMERA_KEEP_GOING", raising=False)
+        assert _knob_runner().strict is True
         monkeypatch.setenv("CHIMERA_KEEP_GOING", "1")
-        assert default_strict() is False
-        runner = SweepRunner(jobs=1, cache=ResultCache("unused",
-                                                       enabled=False))
-        assert runner.strict is False
+        assert _knob_runner().strict is False
 
     def test_hang_seconds_env(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(faults.time, "sleep", slept.append)
         monkeypatch.setenv("CHIMERA_FAULT_HANG_S", "12")
-        assert faults.hang_seconds() == 12.0
-        monkeypatch.setenv("CHIMERA_FAULT_HANG_S", "forever")
-        with pytest.raises(ConfigError) as excinfo:
-            faults.hang_seconds()
-        assert isinstance(excinfo.value.__cause__, ValueError)
+        with faults.injected("hang@0"):
+            faults.inject_before_execute(0, 0)
+            assert slept == [12.0]
+            monkeypatch.setenv("CHIMERA_FAULT_HANG_S", "forever")
+            with pytest.raises(ConfigError, match="CHIMERA_FAULT_HANG_S"):
+                faults.inject_before_execute(0, 0)
 
 
 class TestCLI:

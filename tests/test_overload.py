@@ -58,13 +58,8 @@ from repro.service import (
     SchedulerDaemon,
     ServiceClient,
     ServiceTimeEstimator,
-    default_queue_ttl,
     is_terminal,
     reconcile_qos,
-)
-from repro.service.overload import (
-    default_breaker_config,
-    default_brownout_config,
 )
 from repro.service.state import TRANSITIONS, validate_transition
 from repro.service.store import spec_to_dict
@@ -316,33 +311,31 @@ class TestBrownoutController:
         monkeypatch.setenv("CHIMERA_BROWNOUT_EXIT", "0.1")
         monkeypatch.setenv("CHIMERA_BROWNOUT_DWELL_S", "0.25")
         monkeypatch.setenv("CHIMERA_BROWNOUT_CRITICAL", "3")
-        config = default_brownout_config()
-        assert config["enter_frac"] == 0.6
-        assert config["exit_frac"] == 0.1
-        assert config["dwell_s"] == 0.25
-        assert config["critical_min"] == 3
-        bc = BrownoutController.from_env()
-        assert bc.enter_frac == 0.6 and bc.critical_min == 3
+        bc = BrownoutController()
+        assert bc.enter_frac == 0.6
+        assert bc.exit_frac == 0.1
+        assert bc.dwell_s == 0.25
+        assert bc.critical_min == 3
+        # An explicit argument beats the environment.
+        assert BrownoutController(critical_min=4).critical_min == 4
 
     def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("CHIMERA_BROWNOUT_ENTER", "many")
-        with pytest.raises(ConfigError):
-            default_brownout_config()
         monkeypatch.setenv("CHIMERA_BROWNOUT_ENTER", "1.5")
-        with pytest.raises(ConfigError):
-            default_brownout_config()
+        with pytest.raises(ConfigError, match="CHIMERA_BROWNOUT_ENTER"):
+            BrownoutController()
         monkeypatch.setenv("CHIMERA_BROWNOUT_ENTER", "0.4")
         monkeypatch.setenv("CHIMERA_BROWNOUT_EXIT", "0.6")
         with pytest.raises(ConfigError):
-            BrownoutController.from_env()
+            BrownoutController()
 
-    def test_queue_ttl_env(self, monkeypatch):
-        assert default_queue_ttl() == 0.0
+    def test_queue_ttl_env(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("CHIMERA_QUEUE_TTL", raising=False)
+        assert _daemon(tmp_path).queue_ttl_s == 0.0
         monkeypatch.setenv("CHIMERA_QUEUE_TTL", "12.5")
-        assert default_queue_ttl() == 12.5
+        assert _daemon(tmp_path).queue_ttl_s == 12.5
         monkeypatch.setenv("CHIMERA_QUEUE_TTL", "-1")
-        with pytest.raises(ConfigError):
-            default_queue_ttl()
+        with pytest.raises(ConfigError, match="CHIMERA_QUEUE_TTL"):
+            _daemon(tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -424,11 +417,11 @@ class TestCircuitBreaker:
         monkeypatch.setenv("CHIMERA_BREAKER_K", "7")
         monkeypatch.setenv("CHIMERA_BREAKER_WINDOW", "2.5")
         monkeypatch.setenv("CHIMERA_BREAKER_COOLDOWN", "0.5")
-        cb = CircuitBreaker.from_env()
+        cb = CircuitBreaker()
         assert (cb.k, cb.window_s, cb.cooldown_s) == (7, 2.5, 0.5)
         monkeypatch.setenv("CHIMERA_BREAKER_K", "0")
-        with pytest.raises(ConfigError):
-            default_breaker_config()
+        with pytest.raises(ConfigError, match="CHIMERA_BREAKER_K"):
+            CircuitBreaker()
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ConfigError):
@@ -626,7 +619,7 @@ class TestDeadlineAdmission:
         try:
             daemon.estimator.observe(_spec(), 10.0)
             client.submit([_spec(seed=31)], job_id="ahead")
-            _tick_until(daemon, lambda: daemon.running is not None,
+            _tick_until(daemon, lambda: daemon.slots[0] is not None,
                         "dispatch of the blocking job")
             # Service alone (10s) fits a 15s budget, but the busy slot
             # owes ~10s first: 20s ETA blows the deadline.
@@ -664,7 +657,7 @@ class TestQueueTTL:
         daemon.start()
         try:
             client.submit([_spec(seed=41)], job_id="busy")
-            _tick_until(daemon, lambda: daemon.running is not None,
+            _tick_until(daemon, lambda: daemon.slots[0] is not None,
                         "dispatch")
             client.submit([_spec(seed=42)], job_id="stale")
             _tick_until(daemon,
@@ -696,7 +689,7 @@ class TestQueueTTL:
         daemon.start()
         try:
             client.submit([_spec(seed=43)], job_id="busy")
-            _tick_until(daemon, lambda: daemon.running is not None,
+            _tick_until(daemon, lambda: daemon.slots[0] is not None,
                         "dispatch")
             client.submit([_spec(seed=44)], job_id="patient")
             _tick_until(daemon,
@@ -737,7 +730,7 @@ class TestBrownoutDaemon:
         daemon.start()
         try:
             client.submit([_spec(seed=50)], job_id="crit", priority=9)
-            _tick_until(daemon, lambda: daemon.running is not None,
+            _tick_until(daemon, lambda: daemon.slots[0] is not None,
                         "dispatch of the critical job")
             # Burst of best-effort + low-priority work: depth 3/4 blows
             # through the 0.5 watermark the same tick it is admitted.
@@ -815,7 +808,7 @@ class TestBrownoutDaemon:
         client = ServiceClient(tmp_path / "svc")
         daemon.start()
         client.submit([_spec(seed=60)], job_id="running", priority=9)
-        _tick_until(daemon, lambda: daemon.running is not None, "dispatch")
+        _tick_until(daemon, lambda: daemon.slots[0] is not None, "dispatch")
         for i in range(3):
             client.submit([_spec(seed=61 + i)], job_id=f"crit-{i}",
                           priority=6)
@@ -830,8 +823,8 @@ class TestBrownoutDaemon:
         # the worker thread is parked on the gate and never ticks again.
         gate.set()
         deadline = time.monotonic() + 30.0
-        while daemon.running is not None \
-                and daemon.running.outcome is None:
+        while daemon.slots[0] is not None \
+                and daemon.slots[0].outcome is None:
             assert time.monotonic() < deadline
             time.sleep(0.001)
 
@@ -1127,7 +1120,7 @@ class TestClientBackoff:
         daemon.start()
         try:
             client.submit([_spec(seed=90)], job_id="hog")
-            _tick_until(daemon, lambda: daemon.running is not None,
+            _tick_until(daemon, lambda: daemon.slots[0] is not None,
                         "dispatch")
             client.submit([_spec(seed=91)], job_id="filler")
             daemon.tick()   # filler fills the 1-job queue
@@ -1274,7 +1267,7 @@ class TestOverloadCLI:
         daemon.start()
         try:
             client.submit([_spec(seed=120)], job_id="crit", priority=9)
-            _tick_until(daemon, lambda: daemon.running is not None,
+            _tick_until(daemon, lambda: daemon.slots[0] is not None,
                         "dispatch")
             for i in range(3):
                 client.submit([_spec(seed=121 + i)], job_id=f"be-{i}")

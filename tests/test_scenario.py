@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
+from repro.harness.cache import ResultCache
 from repro.harness.scenario import ScenarioSpec, result_slo, run_traffic
 from repro.harness.sweep import RunSpec, SweepRunner, SweepStats
 from repro.metrics.slo import ArrivalOutcome, merge_slo_summaries, slo_report
@@ -258,6 +259,26 @@ class TestRunSpecIntegration:
         rebuilt = spec_from_dict(spec_to_dict(spec))
         assert rebuilt.scenario == spec.scenario
         assert rebuilt.canonical() == spec.canonical()
+
+    def test_window_setting_is_part_of_the_cache_key(self, monkeypatch,
+                                                     tmp_path):
+        """A scenario without a window takes CHIMERA_TRAFFIC_WINDOW_US;
+        the width must reach the cache key, or a cache hit would replay
+        a report computed under another width."""
+        cache = ResultCache(tmp_path / "cache")
+
+        def run(width):
+            monkeypatch.setenv("CHIMERA_TRAFFIC_WINDOW_US", width)
+            spec = RunSpec.traffic(tiny_scenario(), seed=3,
+                                   config=small_config(),
+                                   target_kernel_us=60.0)
+            result = SweepRunner(jobs=1, cache=cache).run([spec])[0]
+            return spec.cache_key(), result.slo["sliding"]["width_us"]
+
+        wide_key, wide = run("10000")
+        narrow_key, narrow = run("1000")
+        assert wide_key != narrow_key
+        assert (wide, narrow) == (10_000.0, 1_000.0)
 
     def test_sweep_stats_accumulate_slo_counters(self):
         spec = RunSpec.traffic(golden_scenario(), seed=7,

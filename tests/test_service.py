@@ -49,8 +49,6 @@ from repro.service import (
     ServiceClient,
     reconcile_qos,
 )
-from repro.service.admission import default_capacity
-from repro.service.daemon import default_heartbeat, default_service_dir
 from repro.service.state import TRANSITIONS, is_terminal, validate_transition
 from repro.service.store import spec_from_dict, spec_to_dict
 from repro.workloads.multiprogram import MultiprogramWorkload
@@ -297,31 +295,27 @@ class TestAdmissionQueue:
 
     def test_capacity_env_parsing(self, monkeypatch):
         monkeypatch.delenv("CHIMERA_SERVICE_CAPACITY", raising=False)
-        assert default_capacity() == 64
+        assert AdmissionQueue().capacity == 64
         monkeypatch.setenv("CHIMERA_SERVICE_CAPACITY", "3")
-        assert default_capacity() == 3
-        for bad in ("0", "-2", "many"):
-            monkeypatch.setenv("CHIMERA_SERVICE_CAPACITY", bad)
-            with pytest.raises(ConfigError):
-                default_capacity()
+        assert AdmissionQueue().capacity == 3
+        monkeypatch.setenv("CHIMERA_SERVICE_CAPACITY", "0")
+        with pytest.raises(ConfigError, match="CHIMERA_SERVICE_CAPACITY"):
+            AdmissionQueue()
 
 
 class TestServiceEnv:
     def test_service_dir_env(self, monkeypatch):
         monkeypatch.delenv("CHIMERA_SERVICE_DIR", raising=False)
-        assert default_service_dir() == ".chimera-service"
+        assert ServiceClient().directory == Path(".chimera-service")
         monkeypatch.setenv("CHIMERA_SERVICE_DIR", "/tmp/x")
-        assert default_service_dir() == "/tmp/x"
+        assert ServiceClient().directory == Path("/tmp/x")
 
-    def test_heartbeat_env(self, monkeypatch):
-        monkeypatch.delenv("CHIMERA_HEARTBEAT", raising=False)
-        assert default_heartbeat() == 30.0
+    def test_heartbeat_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("CHIMERA_HEARTBEAT", "2.5")
-        assert default_heartbeat() == 2.5
-        for bad in ("0", "-1", "soon"):
-            monkeypatch.setenv("CHIMERA_HEARTBEAT", bad)
-            with pytest.raises(ConfigError):
-                default_heartbeat()
+        assert _daemon(tmp_path, heartbeat_s=None).heartbeat_s == 2.5
+        monkeypatch.setenv("CHIMERA_HEARTBEAT", "0")
+        with pytest.raises(ConfigError, match="CHIMERA_HEARTBEAT"):
+            _daemon(tmp_path, heartbeat_s=None)
 
 
 class TestDaemonLifecycle:
@@ -379,7 +373,7 @@ class TestDaemonLifecycle:
         client = ServiceClient(tmp_path / "svc")
         client.submit([_spec()], job_id="first")
         daemon.start()
-        _tick_until(daemon, lambda: daemon.running is not None,
+        _tick_until(daemon, lambda: daemon.slots[0] is not None,
                     "first job to dispatch")
         client.submit([_spec(seed=8)], job_id="second")
         client.submit([_spec(seed=9)], job_id="third")
@@ -401,10 +395,10 @@ class TestDaemonLifecycle:
         client = ServiceClient(tmp_path / "svc")
         client.submit([_spec(), _spec(seed=8)], priority=0, job_id="low")
         daemon.start()
-        _tick_until(daemon, lambda: daemon.running is not None,
+        _tick_until(daemon, lambda: daemon.slots[0] is not None,
                     "low to dispatch")      # low blocked in spec 0
         client.submit([_spec(seed=9)], priority=5, job_id="high")
-        _tick_until(daemon, lambda: daemon.running.preempt.is_set(),
+        _tick_until(daemon, lambda: daemon.slots[0].preempt.is_set(),
                     "preemption request")   # admit high, request preempt
         gate.set()                          # low yields at the boundary
         daemon.run_until_idle()
@@ -435,7 +429,7 @@ class TestDaemonLifecycle:
                       priority=5)
         client.submit([_spec(seed=8)], job_id="waiting", priority=0)
         daemon.start()
-        _tick_until(daemon, lambda: daemon.running is not None,
+        _tick_until(daemon, lambda: daemon.slots[0] is not None,
                     "running to dispatch")
         assert client.cancel("waiting") is True
         assert client.cancel("running") is True
@@ -489,7 +483,7 @@ class TestDaemonLifecycle:
         client.submit([_spec(), _spec(seed=8)], job_id="long")
         client.submit([_spec(seed=9)], job_id="queued-behind")
         daemon.start()
-        _tick_until(daemon, lambda: daemon.running is not None,
+        _tick_until(daemon, lambda: daemon.slots[0] is not None,
                     "long to dispatch")
         client.drain()
         gate.set()

@@ -6,7 +6,6 @@ from __future__ import annotations
 import dataclasses
 import errno
 import logging
-import os
 import pickle
 import types
 
@@ -17,7 +16,7 @@ from repro.harness import faults
 from repro.harness.cache import CacheEntry, ResultCache
 from repro.harness.experiments import figure6_7
 from repro.harness.runner import run_periodic
-from repro.harness.sweep import RunSpec, SweepRunner, default_jobs
+from repro.harness.sweep import RunSpec, SweepRunner
 from repro.sched.kernel_scheduler import SchedulerMode
 from repro.workloads.multiprogram import MultiprogramWorkload
 
@@ -249,24 +248,26 @@ class TestResultCache:
 
 
 class TestKnobs:
+    """The runner and the cache take their defaults from the settings
+    registry; parsing itself is covered in test_settings.py."""
+
     def test_default_jobs_env_override(self, monkeypatch):
         monkeypatch.setenv("CHIMERA_JOBS", "7")
-        assert default_jobs() == 7
+        assert SweepRunner(cache=ResultCache(enabled=False)).jobs == 7
 
     def test_default_jobs_rejects_garbage(self, monkeypatch):
         from repro.errors import ConfigError
         monkeypatch.setenv("CHIMERA_JOBS", "zero")
-        with pytest.raises(ConfigError) as excinfo:
-            default_jobs()
-        # the original ValueError is chained for debuggability
-        assert isinstance(excinfo.value.__cause__, ValueError)
-        monkeypatch.setenv("CHIMERA_JOBS", "0")
-        with pytest.raises(ConfigError):
-            default_jobs()
+        with pytest.raises(ConfigError, match="CHIMERA_JOBS"):
+            SweepRunner(cache=ResultCache(enabled=False))
 
-    def test_no_cache_env_disables(self, monkeypatch):
+    def test_no_cache_env_disables(self, monkeypatch, tmp_path):
         monkeypatch.setenv("CHIMERA_NO_CACHE", "1")
-        assert ResultCache.from_env().enabled is False
+        monkeypatch.setenv("CHIMERA_CACHE_DIR", str(tmp_path / "c"))
+        cache = ResultCache()
+        assert cache.enabled is False
+        assert cache.directory == tmp_path / "c"
+        assert SweepRunner(jobs=1).cache.enabled is False
 
     def test_pair_spec_executes_fcfs_baseline(self, tmp_path):
         workload = MultiprogramWorkload(("LUD", "BS"), budget_insts=2e6)
@@ -277,27 +278,34 @@ class TestKnobs:
 
 
 class TestTraceKnobs:
-    def test_trace_dir_default_is_off(self, monkeypatch):
-        from repro.harness.sweep import default_trace_dir
+    def test_trace_dir_default_is_off(self, monkeypatch, tmp_path):
+        from repro.harness.sweep import execute_timed
         monkeypatch.delenv("CHIMERA_TRACE", raising=False)
-        assert default_trace_dir() is None
+        monkeypatch.chdir(tmp_path)
+        execute_timed(RunSpec.periodic("BS", "chimera", periods=PERIODS,
+                                       seed=5))
+        assert list(tmp_path.rglob("*.jsonl")) == []
 
-    def test_trace_capacity_default_and_override(self, monkeypatch):
-        from repro.harness.sweep import default_trace_capacity
+    def test_trace_capacity_default_and_override(self, monkeypatch,
+                                                 tmp_path):
+        from repro.harness.sweep import execute_timed
+        from repro.sim.trace import load_jsonl
+        trace_dir = tmp_path / "traces"
+        monkeypatch.setenv("CHIMERA_TRACE", str(trace_dir))
         monkeypatch.delenv("CHIMERA_TRACE_CAPACITY", raising=False)
-        assert default_trace_capacity() == 500_000
-        monkeypatch.setenv("CHIMERA_TRACE_CAPACITY", "1234")
-        assert default_trace_capacity() == 1234
+        execute_timed(RunSpec.periodic("BS", "chimera", periods=PERIODS,
+                                       seed=5))
+        tracer = load_jsonl(next(trace_dir.glob("*.jsonl")))
+        assert tracer.records and tracer.dropped == 0
 
-    def test_trace_capacity_rejects_garbage(self, monkeypatch):
+    def test_trace_capacity_rejects_garbage(self, monkeypatch, tmp_path):
         from repro.errors import ConfigError
-        from repro.harness.sweep import default_trace_capacity
+        from repro.harness.sweep import execute_timed
+        monkeypatch.setenv("CHIMERA_TRACE", str(tmp_path / "traces"))
         monkeypatch.setenv("CHIMERA_TRACE_CAPACITY", "many")
-        with pytest.raises(ConfigError):
-            default_trace_capacity()
-        monkeypatch.setenv("CHIMERA_TRACE_CAPACITY", "0")
-        with pytest.raises(ConfigError):
-            default_trace_capacity()
+        with pytest.raises(ConfigError, match="CHIMERA_TRACE_CAPACITY"):
+            execute_timed(RunSpec.periodic("BS", "chimera",
+                                           periods=PERIODS, seed=5))
 
     def test_trace_path_is_filesystem_safe_and_distinct(self, tmp_path):
         from repro.harness.sweep import trace_path_for
@@ -340,7 +348,7 @@ class TestTraceKnobs:
 
 
 class TestShardedCache:
-    """Two-hex-prefix cache sharding and transparent legacy migration."""
+    """Two-hex-prefix cache sharding."""
 
     def test_entries_land_in_shard_subdirectories(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -351,65 +359,13 @@ class TestShardedCache:
         assert path.is_file()
         assert path.parent.name == key[:2]
         assert path.parent.parent == cache.directory
-        # nothing left at the flat legacy location
-        assert not cache.legacy_path_for(key).exists()
-
-    def test_legacy_flat_entry_hits_and_migrates(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        spec = RunSpec.periodic("BS", "chimera", periods=PERIODS, seed=4)
-        first = SweepRunner(jobs=1, cache=cache).run([spec])[0]
-        key = spec.cache_key()
-        # Rebuild the pre-sharding layout: entry at the flat path only.
-        sharded = cache.path_for(key)
-        legacy = cache.legacy_path_for(key)
-        sharded.rename(legacy)
-        sharded.parent.rmdir()
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
-        replayed = runner.run([spec])[0]
-        assert runner.last_stats.cache_hits == 1
-        assert runner.last_stats.executed == 0
-        assert dataclasses.asdict(replayed) == dataclasses.asdict(first)
-        # the read moved the entry into its shard
-        assert sharded.is_file()
-        assert not legacy.exists()
-
-    def test_corrupt_legacy_entry_discarded_and_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        spec = RunSpec.periodic("BS", "chimera", periods=PERIODS, seed=4)
-        first = SweepRunner(jobs=1, cache=cache).run([spec])[0]
-        key = spec.cache_key()
-        cache.path_for(key).unlink()
-        cache.legacy_path_for(key).write_bytes(b"torn pickle")
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
-        recomputed = runner.run([spec])[0]
-        assert runner.last_stats.executed == 1
-        assert not cache.legacy_path_for(key).exists()
-        assert dataclasses.asdict(recomputed) == dataclasses.asdict(first)
+        assert not (cache.directory / f"{key}.pkl").exists()
 
     def test_clear_removes_both_layouts(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cache.put("aa" * 32, {"x": 1}, 0.1)          # sharded
-        legacy = cache.legacy_path_for("bb" * 32)    # hand-made legacy
-        legacy.write_bytes(pickle.dumps(CacheEntry("bb" * 32, 2, 0.1)))
-        assert cache.clear() == 2
+        cache.put("aa" * 32, {"x": 1}, 0.1)
+        assert cache.clear() == 1
         assert cache.get("aa" * 32) is None
-        assert cache.get("bb" * 32) is None
-
-
-class _ReadonlyOS:
-    """Stand-in for the ``os`` module whose ``replace`` always reports a
-    read-only filesystem; everything else delegates to the real module.
-
-    The tests run as root, so ``chmod 0o555`` would not actually block
-    writes — patching the module-local binding is the reliable way to
-    simulate a read-only mount."""
-
-    def __getattr__(self, name):
-        return getattr(os, name)
-
-    @staticmethod
-    def replace(src, dst):
-        raise OSError(errno.EROFS, "Read-only file system")
 
 
 class TestReadOnlyCache:
@@ -430,28 +386,6 @@ class TestReadOnlyCache:
         assert len(notes) == 1
         assert cache._readonly
         assert cache.get(self.KEY) is None  # nothing was stored
-
-    def test_legacy_entry_served_in_place_when_migration_fails(
-            self, tmp_path, monkeypatch, caplog):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(self.KEY, {"x": 1}, 0.1)
-        # Rebuild the pre-sharding layout, then make moves impossible.
-        legacy = cache.legacy_path_for(self.KEY)
-        cache.path_for(self.KEY).rename(legacy)
-        cache.path_for(self.KEY).parent.rmdir()
-        monkeypatch.setattr("repro.harness.cache.os", _ReadonlyOS())
-        with caplog.at_level(logging.WARNING, logger="repro.harness.cache"):
-            first = cache.get(self.KEY)
-            second = cache.get(self.KEY)
-        assert first is not None and first.result == {"x": 1}
-        assert second is not None and second.result == {"x": 1}
-        assert legacy.is_file()                      # served in place
-        assert not cache.path_for(self.KEY).is_file()
-        notes = [r for r in caplog.records if "not writable" in r.message]
-        assert len(notes) == 1                       # logged exactly once
-        # writes are disabled for the rest of the process
-        cache.put("cd" * 32, {"x": 2}, 0.2)
-        assert cache.get("cd" * 32) is None
 
     def test_other_write_errors_still_raise(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
@@ -487,28 +421,23 @@ class TestSweepScaling:
         for a, b in zip(plain, chunked):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
-    def test_chunk_size_env_parsing(self, monkeypatch):
+    def test_chunk_size_env_parsing(self, monkeypatch, tmp_path):
         from repro.errors import ConfigError
-        from repro.harness.sweep import default_chunk_size
         monkeypatch.setenv("CHIMERA_SWEEP_CHUNK", "128")
-        assert default_chunk_size() == 128
+        assert _runner(tmp_path).chunk_size == 128
         monkeypatch.setenv("CHIMERA_SWEEP_CHUNK", "-1")
-        with pytest.raises(ConfigError):
-            default_chunk_size()
-        monkeypatch.setenv("CHIMERA_SWEEP_CHUNK", "lots")
-        with pytest.raises(ConfigError):
-            default_chunk_size()
+        with pytest.raises(ConfigError, match="CHIMERA_SWEEP_CHUNK"):
+            _runner(tmp_path)
 
-    def test_worker_group_env_parsing(self, monkeypatch):
+    def test_worker_group_env_parsing(self, monkeypatch, tmp_path):
         from repro.errors import ConfigError
-        from repro.harness.sweep import default_worker_group
-        assert default_worker_group() is None
+        monkeypatch.delenv("CHIMERA_WORKER_GROUP", raising=False)
+        assert _runner(tmp_path).worker_group is None
         monkeypatch.setenv("CHIMERA_WORKER_GROUP", "1/3")
-        assert default_worker_group() == (1, 3)
-        for bad in ("3/3", "x/2", "2", "-1/2"):
-            monkeypatch.setenv("CHIMERA_WORKER_GROUP", bad)
-            with pytest.raises(ConfigError):
-                default_worker_group()
+        assert _runner(tmp_path).worker_group == (1, 3)
+        monkeypatch.setenv("CHIMERA_WORKER_GROUP", "3/3")
+        with pytest.raises(ConfigError, match="CHIMERA_WORKER_GROUP"):
+            _runner(tmp_path)
 
     def test_group_partition_is_total_and_deterministic(self):
         from repro.harness.sweep import group_of
@@ -614,19 +543,15 @@ class TestSweepScaling:
                         cache=ResultCache(tmp_path / "c", enabled=False),
                         worker_group=(0, 2))
 
-    def test_shard_wait_env_parsing(self, monkeypatch):
+    def test_shard_wait_env_parsing(self, monkeypatch, tmp_path):
         from repro.errors import ConfigError
-        from repro.harness.sweep import default_shard_wait
         monkeypatch.delenv("CHIMERA_SHARD_WAIT", raising=False)
-        assert default_shard_wait() == 600.0
-        monkeypatch.setenv("CHIMERA_SHARD_WAIT", "2.5")
-        assert default_shard_wait() == 2.5
+        assert _runner(tmp_path).shard_wait == 600.0
         monkeypatch.setenv("CHIMERA_SHARD_WAIT", "0")
-        assert default_shard_wait() == 0.0
-        for bad in ("-1", "later"):
-            monkeypatch.setenv("CHIMERA_SHARD_WAIT", bad)
-            with pytest.raises(ConfigError):
-                default_shard_wait()
+        assert _runner(tmp_path).shard_wait == 0.0
+        monkeypatch.setenv("CHIMERA_SHARD_WAIT", "later")
+        with pytest.raises(ConfigError, match="CHIMERA_SHARD_WAIT"):
+            _runner(tmp_path)
 
     def test_env_shard_wait_timeout_yields_spec_failures(self, tmp_path,
                                                          monkeypatch):
@@ -656,13 +581,12 @@ class TestSweepScaling:
                                                  monkeypatch):
         """CHIMERA_WORKER_GROUP=0/1 is a valid degenerate split: one
         group, zero foreign specs, no waiting."""
-        from repro.harness.sweep import default_worker_group
         monkeypatch.setenv("CHIMERA_WORKER_GROUP", "0/1")
-        assert default_worker_group() == (0, 1)
         monkeypatch.setenv("CHIMERA_SHARD_WAIT", "0")
         specs = [RunSpec.periodic(label, "drain", periods=PERIODS, seed=2)
                  for label in LABELS]
         runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"))
+        assert runner.worker_group == (0, 1)
         results = runner.run(specs)
         assert runner.last_stats.executed == len(specs)
         assert runner.last_stats.foreign == 0

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiments import figure6_7, figure8, figure9, figure10_11
-from repro.harness.sweep import SweepRunner, default_trace_dir
+from repro import settings
+from repro.harness.sweep import SweepRunner
 from repro.sim.trace import load_jsonl
 from repro.sim.trace_check import TraceChecker
 from repro.workloads.multiprogram import MultiprogramWorkload
@@ -48,7 +49,7 @@ def check_all(trace_dir, expected_specs):
 
 def test_trace_dir_comes_from_env(traced_runner):
     _, trace_dir = traced_runner
-    assert default_trace_dir() == str(trace_dir)
+    assert settings.get("CHIMERA_TRACE") == str(trace_dir)
 
 
 def test_figure6_7_traces_are_clean(traced_runner):

@@ -34,9 +34,6 @@ from repro.workloads.traffic import (
     arrival_times,
     build_stream,
     decode_stream,
-    default_max_arrivals,
-    default_mix_name,
-    default_window_us,
     encode_stream,
     exponential_cdf,
     index_of_dispersion,
@@ -287,29 +284,34 @@ class TestSpecsAndKnobs:
             build_stream([tenant], 1, 100_000.0, cap=50)
 
     def test_max_arrivals_knob(self, monkeypatch):
-        monkeypatch.setenv("CHIMERA_TRAFFIC_MAX_ARRIVALS", "123")
-        assert default_max_arrivals() == 123
-        monkeypatch.setenv("CHIMERA_TRAFFIC_MAX_ARRIVALS", "zero")
-        with pytest.raises(ConfigError):
-            default_max_arrivals()
+        tenant = TenantSpec(name="hot",
+                            arrival=ArrivalSpec(rate_per_s=20_000.0))
+        monkeypatch.setenv("CHIMERA_TRAFFIC_MAX_ARRIVALS", "50")
+        with pytest.raises(ConfigError, match="safety cap"):
+            build_stream([tenant], 1, 100_000.0)
         monkeypatch.setenv("CHIMERA_TRAFFIC_MAX_ARRIVALS", "0")
-        with pytest.raises(ConfigError):
-            default_max_arrivals()
+        with pytest.raises(ConfigError,
+                           match="CHIMERA_TRAFFIC_MAX_ARRIVALS"):
+            build_stream([tenant], 1, 100_000.0)
 
     def test_mix_knob(self, monkeypatch):
         monkeypatch.setenv("CHIMERA_TRAFFIC_MIX", "dl-train")
-        assert default_mix_name() == "dl-train"
-        assert TenantSpec(name="t").kernel_mix().name == "dl-train"
+        tenant = TenantSpec(name="t")
+        # Resolved at construction, so the mix is part of the cache key.
+        monkeypatch.setenv("CHIMERA_TRAFFIC_MIX", "table2-long")
+        assert tenant.mix == tenant.kernel_mix().name == "dl-train"
         monkeypatch.setenv("CHIMERA_TRAFFIC_MIX", "nope")
-        with pytest.raises(ConfigError):
-            default_mix_name()
+        with pytest.raises(ConfigError, match="CHIMERA_TRAFFIC_MIX"):
+            TenantSpec(name="t")
 
     def test_window_knob(self, monkeypatch):
+        from repro.harness.scenario import ScenarioSpec
+        tenants = (TenantSpec(name="t"),)
         monkeypatch.setenv("CHIMERA_TRAFFIC_WINDOW_US", "2500")
-        assert default_window_us() == 2500.0
+        assert ScenarioSpec(tenants=tenants).window_us == 2500.0
         monkeypatch.setenv("CHIMERA_TRAFFIC_WINDOW_US", "-1")
-        with pytest.raises(ConfigError):
-            default_window_us()
+        with pytest.raises(ConfigError, match="CHIMERA_TRAFFIC_WINDOW_US"):
+            ScenarioSpec(tenants=tenants)
 
     def test_ks_helpers_validate(self):
         with pytest.raises(ConfigError):
